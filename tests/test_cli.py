@@ -10,6 +10,7 @@ from gda.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
 CLASS_FILE = str(SESSIONS / "invariant_class.gda")
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def test_check_reports_statement_count(capsys):
@@ -140,3 +141,20 @@ def test_failing_verification_exits_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: fail" in out
     assert "surviving terms" in out
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("paper", ["--sign-mode", "paper"]),
+    ("koszul", ["--sign-mode", "koszul"]),
+    ("drop", ["--epsilon-mode", "drop"]),
+])
+@pytest.mark.parametrize("command, args", [
+    ("verify-class", ["--class", "INV", "--hypotheses", "H"]),
+    ("verify-independence", ["--class", "INV", "--eta", "eta", "--hypotheses", "H"]),
+])
+def test_verify_report_matches_frozen_text(command, args, mode, flags, capsys):
+    # every trace step, before and after, in order
+    frozen = (GOLDEN / f"{command.replace('-', '_')}.{mode}.txt").read_text()
+    rc = main([command, CLASS_FILE, *args, *flags])
+    assert capsys.readouterr().out == frozen
+    assert rc == (0 if "status: ok\n" in frozen else 1)

@@ -11,6 +11,7 @@ from gda import (
     Index,
     Monomial,
     SignMode,
+    SlotError,
     SymbolRegistry,
     Term,
     add,
@@ -114,6 +115,35 @@ def test_slot_differential_skips_vanishing_slots(reg):
     # slot 1 already carries d, so only slot 2 survives
     out = apply_slot_differential(D, m, {1, 2})
     assert render_term(out) == "(a.d, b.d)"
+
+
+def test_slot_differential_rejects_out_of_range_slot(reg):
+    (mono,) = two_factor(reg).monomials()
+    for slot in (0, 3):
+        with pytest.raises(SlotError):
+            apply_slot_differential(D, mono, {1, slot})
+
+
+@pytest.mark.parametrize("sign", list(SignMode))
+def test_slot_differential_over_every_slot_is_the_full_differential(reg, sign):
+    rng = random.Random(11)
+    flag_sets = [(), ("dclosed",), ("Dclosed",)]
+    gens = [
+        reg.declare(
+            f"g{i}",
+            Index(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1)),
+            rng.choice(flag_sets),
+        )
+        for i in range(6)
+    ]
+    stacks = [(), (D,), (DD,), (D, DD)]
+    for _ in range(60):
+        arity = rng.randint(1, 5)
+        mono = Monomial(tuple(Factor(rng.choice(gens), rng.choice(stacks)) for _ in range(arity)))
+        for kind in (D, DD):
+            full = apply_differential(kind, Term.from_monomial(mono), sign)
+            every = apply_slot_differential(kind, mono, set(range(1, arity + 1)), sign)
+            assert every == full, str(mono)
 
 
 def test_epsilon_pair_and_drop(reg):
