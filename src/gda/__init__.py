@@ -15,7 +15,6 @@ from .conditions import (
     coherence_constraints,
     collapse_signature,
     derive_tree,
-    detect_periodic,
     make_condition,
     render_tree,
     signature_label,
@@ -29,8 +28,6 @@ from .differentials import (
     apply_differential,
     apply_slot_differential,
     classify_push,
-    epsilon,
-    position_sign,
 )
 from .errors import (
     ArityError,
@@ -83,7 +80,6 @@ from .terms import (
     make_generator,
     multiply,
     normalize,
-    push_diff,
     render_equation,
     render_term,
     scale,
@@ -103,7 +99,6 @@ from .verifier import (
     class_layout,
     make_completion,
     reduce_modulo,
-    slot_diff_sum,
     verify_cocycle,
     verify_independence,
 )

@@ -77,7 +77,7 @@ def _apply_overrides(session, args) -> None:
         setup = dc_replace(setup, d=DiffKind(args.d))
     if getattr(args, "literal_m_coherence", False):
         session.literal_m = True
-    if getattr(args, "depth", None):
+    if getattr(args, "depth", None) is not None:
         session.depth = args.depth
     session.setup = setup
 
@@ -105,7 +105,7 @@ def _cmd_derive(args) -> int:
     registry = SymbolRegistry()
     sign = SignMode(args.sign_mode) if args.sign_mode else SignMode.paper_literal
     d = DiffKind(args.d) if args.d else DiffKind.delta
-    depth = args.depth or 8
+    depth = 8 if args.depth is None else args.depth
     pattern = args.start.strip("()")
     start = standard_start(pattern, registry, d, sign, DEFAULT_LAWS)
     tree = derive_tree(start, depth, sign, d, DEFAULT_LAWS, registry)
@@ -185,6 +185,16 @@ def _cmd_model_check(args) -> int:
     return _print_report(report, args.report)
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", choices=["text", "json"], default="text")
@@ -194,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     overrides.add_argument("--epsilon-mode", choices=["pair", "drop"])
     overrides.add_argument("--xi-mode", choices=["sum", "pairs"])
     overrides.add_argument("--d", choices=["delta", "Delta"])
-    overrides.add_argument("--depth", type=int)
+    overrides.add_argument("--depth", type=_at_least_one)
     overrides.add_argument("--literal-m-coherence", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -237,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model-check", parents=[common, overrides],
                        help="evaluate the symbolic differential in a finite model")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least_one, default=20)
     p.add_argument("--field", choices=["q", "gf2"])
     p.set_defaults(func=_cmd_model_check)
 
@@ -262,3 +272,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

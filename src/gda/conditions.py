@@ -22,6 +22,7 @@ from .errors import ArityError, CoherenceViolation
 from .ideals import factorization_moves
 from .terms import (
     DEFAULT_LAWS,
+    FRESH_PREFIX,
     ZERO_INDEX,
     DiffKind,
     DiffLaws,
@@ -34,7 +35,6 @@ from .terms import (
     render_equation,
 )
 
-_FRESH_RE = re.compile(r"_f\d+")
 _SIG_RE = re.compile(r"[I0]+\Z")
 
 
@@ -267,8 +267,23 @@ class DerivationTree:
         return [n.condition.equation for n in self.nodes]
 
 
-def _anonymize(text: str) -> str:
-    return _FRESH_RE.sub("_f", text)
+def _seen_key(cond: Condition) -> tuple:
+    """The equation's structure with fresh generator names blanked, so
+    conditions that differ only in fresh numbering share a key."""
+    return tuple(
+        tuple(
+            (
+                coeff,
+                mono.overlaps,
+                tuple(
+                    (FRESH_PREFIX if f.generator.fresh else f.generator.name, f.diffs)
+                    for f in mono.factors
+                ),
+            )
+            for mono, coeff in side
+        )
+        for side in (cond.lhs, cond.rhs)
+    )
 
 
 def _content(term: Term) -> Fraction:
@@ -297,7 +312,7 @@ def derive_tree(
     if registry is None:
         registry = SymbolRegistry()
     tree = DerivationTree(start.label, depth, sign, d)
-    seen: dict[str, int] = {}
+    seen: dict[tuple, int] = {}
 
     def add_node(cond: Condition, edge: str, parent: int | None, dp: int, note: str | None) -> TreeNode:
         node = TreeNode(len(tree.nodes), dp, edge, cond, note, parent)
@@ -318,7 +333,7 @@ def derive_tree(
         if cond.lhs.is_zero and cond.rhs.is_zero:
             add_node(cond, edge, parent, dp, "zero")
             return
-        key = _anonymize(cond.equation)
+        key = _seen_key(cond)
         if key in seen:
             node = add_node(cond, edge, parent, dp, "seen")
             prior = seen[key]
@@ -391,10 +406,6 @@ def _record_family(tree: DerivationTree, anchor: int, repeat: int, d: DiffKind) 
             d,
         )
     )
-
-
-def detect_periodic(tree: DerivationTree) -> list[PeriodicFamily]:
-    return list(tree.families)
 
 
 # --- standard start conditions ---------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import Collection
 
 from .errors import SlotError
 from .terms import (
@@ -19,8 +20,6 @@ from .terms import (
     DiffKind,
     DiffLaws,
     Factor,
-    Index,
-    IndexBounds,
     Monomial,
     Term,
     canonical_stack,
@@ -39,17 +38,6 @@ class EpsilonMode(str, Enum):
 
     pair = "pair"
     drop = "drop"
-
-
-def index_shift(kind: DiffKind, index: Index, bounds: IndexBounds | None = None) -> Index:
-    shifted = index.shifted(kind)
-    if bounds is not None:
-        bounds.check(shifted, f"{kind.token}-shift of {index}")
-    return shifted
-
-
-def horizontal_degree(factor: Factor) -> int:
-    return factor.effective_index.n
 
 
 def classify_push(
@@ -73,64 +61,51 @@ def classify_push(
     return Factor(factor.generator, canon), None
 
 
-def position_sign(mode: SignMode, monomial: Monomial, position: int) -> int:
-    """Sign carried by the product-rule summand at a 1-based
-    position: +1 always in plain mode, Koszul parity of the preceding
-    horizontal degrees otherwise."""
-    if mode is SignMode.koszul:
-        degree = sum(f.effective_index.n for f in monomial.factors[: position - 1])
-        if degree % 2:
-            return -1
-    return 1
-
-
 def apply_differential(
     kind: DiffKind,
     term: Term,
     sign: SignMode = SignMode.paper_literal,
     laws: DiffLaws = DEFAULT_LAWS,
+    slots: Collection[int] | None = None,
+    kills: list[tuple[int, Factor, str]] | None = None,
 ) -> Term:
-    """Differential of a term, one product-rule summand per factor."""
-    out = Term.zero()
+    """Differential of a term by the product rule.
+
+    Each monomial gives one summand per factor, or per 1-based position
+    in slots when given.  In koszul mode a summand carries the parity of
+    the horizontal degrees to its left.  Pushes the laws kill are
+    appended to kills as (slot, factor, reason), in term order.
+    """
+    koszul = sign is SignMode.koszul
+    wanted = None if slots is None else frozenset(slots)
+    out: dict[Monomial, Fraction] = {}
     for monomial, coeff in term:
-        out = out + _product_rule(kind, monomial, coeff, range(1, monomial.arity + 1), sign, laws)
-    return out
+        factors = monomial.factors
+        for slot in wanted or ():
+            if not 1 <= slot <= len(factors):
+                raise SlotError(f"slot {slot} out of range for arity {len(factors)}")
+        odd = False
+        for pos, factor in enumerate(factors, 1):
+            if wanted is None or pos in wanted:
+                pushed, reason = classify_push(factor, kind, laws)
+                if pushed is None:
+                    if kills is not None:
+                        kills.append((pos, factor, reason))
+                else:
+                    new = Monomial(factors[: pos - 1] + (pushed,) + factors[pos:], monomial.overlaps)
+                    out[new] = out.get(new, 0) + (-coeff if odd else coeff)
+            if koszul and factor.effective_index.n % 2:
+                odd = not odd
+    return Term(out)
 
 
 def apply_slot_differential(
     kind: DiffKind,
     monomial: Monomial,
-    slots: set[int] | frozenset[int],
+    slots: Collection[int],
     sign: SignMode = SignMode.paper_literal,
     laws: DiffLaws = DEFAULT_LAWS,
 ) -> Term:
-    """Product-rule sum restricted to the given 1-based factor positions."""
-    for slot in slots:
-        if not 1 <= slot <= monomial.arity:
-            raise SlotError(f"slot {slot} out of range for arity {monomial.arity}")
-    return _product_rule(kind, monomial, Fraction(1), sorted(slots), sign, laws)
-
-
-def _product_rule(kind, monomial, coeff, positions, sign, laws) -> Term:
-    summands: dict[Monomial, Fraction] = {}
-    for pos in positions:
-        pushed, _ = classify_push(monomial.factors[pos - 1], kind, laws)
-        if pushed is None:
-            continue
-        factors = list(monomial.factors)
-        factors[pos - 1] = pushed
-        new = Monomial(tuple(factors), monomial.overlaps)
-        value = coeff * position_sign(sign, monomial, pos)
-        summands[new] = summands.get(new, Fraction(0)) + value
-    return Term(summands)
-
-
-def epsilon(mode: EpsilonMode, a: Factor, x: Factor | None) -> list[Factor] | None:
-    """Auxiliary pairing: in pair mode both arguments become factors
-    (None for the zero element absorbs the whole monomial); in drop mode
-    only the first survives."""
-    if mode is EpsilonMode.drop:
-        return [a]
-    if x is None:
-        return None
-    return [a, x]
+    """Product-rule sum of one monomial restricted to the given 1-based
+    factor positions; SlotError for a position outside the monomial."""
+    return apply_differential(kind, Term.from_monomial(monomial), sign, laws, slots)

@@ -15,8 +15,7 @@ All coefficients are fractions.Fraction, so arithmetic is exact.
 from __future__ import annotations
 
 import re
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -170,25 +169,11 @@ class Factor:
             idx = idx.shifted(kind)
         return idx
 
-    @property
-    def horizontal_degree(self) -> int:
-        return self.effective_index.n
-
     def sort_key(self):
         return (self.generator.name, tuple(k.value for k in self.diffs))
 
     def __str__(self) -> str:
         return self.generator.name + "".join("." + k.token for k in self.diffs)
-
-
-def push_diff(factor: Factor, kind: DiffKind, laws: DiffLaws = DEFAULT_LAWS) -> Factor | None:
-    """Apply one differential to a factor; None means the result is zero."""
-    if not factor.diffs and factor.generator.closed_under(kind):
-        return None
-    stack = canonical_stack(factor.diffs + (kind,), laws)
-    if stack_vanishes(stack, laws):
-        return None
-    return Factor(factor.generator, stack)
 
 
 def coherent_index(
@@ -407,7 +392,7 @@ def multiply(
 def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
     """Re-canonicalize factor stacks and drop monomials the laws kill.
 
-    Terms built through push_diff are already normal; this is the safety
+    Terms built by the product rule are already normal; this is the safety
     net for terms assembled directly from raw stacks.
     """
     out: dict[Monomial, Fraction] = {}
@@ -474,7 +459,6 @@ class SymbolRegistry:
     def __init__(self):
         self._symbols: dict[str, GeneratorSymbol] = {}
         self._fresh_count = 0
-        self._lock = threading.Lock()
 
     def declare(
         self,
@@ -487,19 +471,17 @@ class SymbolRegistry:
             raise NameClash(f"invalid generator name {name!r}")
         if name.startswith(FRESH_PREFIX):
             raise NameClash(f"{name!r} uses the reserved fresh prefix {FRESH_PREFIX!r}")
-        with self._lock:
-            if name in self._symbols:
-                raise NameClash(f"generator {name!r} already declared")
-            sym = GeneratorSymbol(name, index, frozenset(flags), role)
-            self._symbols[name] = sym
+        if name in self._symbols:
+            raise NameClash(f"generator {name!r} already declared")
+        sym = GeneratorSymbol(name, index, frozenset(flags), role)
+        self._symbols[name] = sym
         return sym
 
     def fresh(self, index: Index, role: str = "plain", flags: Iterable[str] = ()) -> GeneratorSymbol:
-        with self._lock:
-            self._fresh_count += 1
-            name = f"{FRESH_PREFIX}{self._fresh_count}"
-            sym = GeneratorSymbol(name, index, frozenset(flags), role, fresh=True)
-            self._symbols[name] = sym
+        self._fresh_count += 1
+        name = f"{FRESH_PREFIX}{self._fresh_count}"
+        sym = GeneratorSymbol(name, index, frozenset(flags), role, fresh=True)
+        self._symbols[name] = sym
         return sym
 
     def get(self, name: str) -> GeneratorSymbol:

@@ -23,9 +23,6 @@ from .differentials import (
     EpsilonMode,
     SignMode,
     apply_differential,
-    apply_slot_differential,
-    classify_push,
-    position_sign,
 )
 from .errors import HypothesisError, LayoutError
 from .ideals import IdealKind, IdealRegistry
@@ -126,19 +123,6 @@ def make_completion(phis: list[Factor], Phis: list[Factor]) -> Completion:
     return Completion(tuple(phis), tuple(Phis))
 
 
-def slot_diff_sum(
-    term: Term, slots: tuple[int, ...], setup: VerifierSetup
-) -> Term:
-    """Sum over the designated slots of the differential applied to that
-    slot only, extended linearly."""
-    out = Term.zero()
-    for mono, coeff in term:
-        out = out + coeff * apply_slot_differential(
-            setup.d, mono, set(slots), setup.sign, setup.laws
-        )
-    return out
-
-
 def check_closed(
     c: Completion,
     setup: VerifierSetup,
@@ -147,7 +131,9 @@ def check_closed(
     """Expand the completion-slot differential sum and reduce; residual
     zero means the completion is closed outright."""
     term = Term.from_monomial(c.layout())
-    expanded = slot_diff_sum(term, c.completion_slots(), setup)
+    expanded = apply_differential(
+        setup.d, term, setup.sign, setup.laws, c.completion_slots()
+    )
     trace: list[TraceStep] = []
     if ideals is not None:
         expanded, deleted = ideals.reduce_with_trace(expanded, setup.laws)
@@ -294,7 +280,7 @@ def build_closure_set(
         for level in (0, 1):
             c1, c2, c3 = _content_terms(setup, t1, t2, t3, level)
             layout, slots = class_layout(setup, completions, c1, c2, c3)
-            condition = slot_diff_sum(layout, slots, setup)
+            condition = apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
             tag = f"{n1}|{n2}|{n3}|{'Dd' if level else 'D'}"
             closure_set.conditions.append(
                 ClosureHypothesis(tag, (n1, n2, n3), level, condition)
@@ -348,32 +334,14 @@ def reduce_modulo(
     return remaining, trace + steps
 
 
-def _expand_with_trace(
-    term: Term, setup: VerifierSetup
-) -> tuple[Term, list[TraceStep]]:
-    """Product-rule expansion of the chosen differential, recording each
-    law-killed slot."""
-    survivors = Term.zero()
-    trace: list[TraceStep] = []
-    for mono, coeff in term:
-        for pos in range(1, mono.arity + 1):
-            factor = mono.factors[pos - 1]
-            pushed, reason = classify_push(factor, setup.d, setup.laws)
-            if pushed is None:
-                trace.append(
-                    TraceStep(
-                        f"law:{reason}",
-                        f"slot {pos}: {setup.d.token}({factor})",
-                        "0",
-                    )
-                )
-                continue
-            factors = list(mono.factors)
-            factors[pos - 1] = pushed
-            piece = Monomial(tuple(factors), mono.overlaps)
-            sgn = position_sign(setup.sign, mono, pos)
-            survivors = survivors + Term({piece: coeff * sgn})
-    return survivors, trace
+def _law_steps(
+    kills: list[tuple[int, Factor, str]], setup: VerifierSetup
+) -> list[TraceStep]:
+    """One trace step per slot the differential laws killed."""
+    return [
+        TraceStep(f"law:{reason}", f"slot {pos}: {setup.d.token}({factor})", "0")
+        for pos, factor, reason in kills
+    ]
 
 
 # --- the two verifications --------------------------------------------
@@ -384,9 +352,10 @@ def verify_cocycle(
     ideals: IdealRegistry,
     setup: VerifierSetup,
 ) -> VerificationReport:
-    survivors, trace = _expand_with_trace(class_term, setup)
+    kills: list[tuple[int, Factor, str]] = []
+    survivors = apply_differential(setup.d, class_term, setup.sign, setup.laws, kills=kills)
     residual, steps = reduce_modulo(survivors, ideals, closure_set.conditions, setup)
-    trace += steps
+    trace = _law_steps(kills, setup) + steps
     status = "ok" if residual.is_zero else "fail"
     notes = []
     if status == "fail":
@@ -458,11 +427,14 @@ def verify_independence(
         factors = list(mono.factors)
         factors[slot1_pos - 1] = stripped
         candidate = Monomial(tuple(factors), mono.overlaps)
-        expanded, law_steps = _expand_with_trace(Term.from_monomial(candidate), setup)
+        kills: list[tuple[int, Factor, str]] = []
+        expanded = apply_differential(
+            setup.d, Term.from_monomial(candidate), setup.sign, setup.laws, kills=kills
+        )
         reduced, del_steps = ideals.reduce_with_trace(expanded, setup.laws)
         for reason, m in del_steps:
             trace.append(TraceStep(reason, str(m), "0"))
-        trace += law_steps
+        trace += _law_steps(kills, setup)
         remaining, cancel_steps = cancel_hypotheses(reduced, [hypothesis])
         trace += cancel_steps
         scale = _single_monomial_ratio(remaining, mono)
@@ -475,7 +447,7 @@ def verify_independence(
         primitive = primitive + contribution
         trace.append(TraceStep("primitive", str(mono), render_term(contribution)))
 
-    recomputed, _ = _expand_with_trace(primitive, setup)
+    recomputed = apply_differential(setup.d, primitive, setup.sign, setup.laws)
     recomputed, final_steps = reduce_modulo(recomputed, ideals, closure_set.conditions, setup)
     trace += final_steps
     residual = diff - recomputed

@@ -1,5 +1,8 @@
 """Command-line surface: exit codes, report formats, derive output."""
 import json
+import os
+import subprocess
+import sys
 import jsonschema
 from pathlib import Path
 
@@ -62,6 +65,33 @@ def test_derive_json_output(capsys):
 def test_derive_rejects_bad_pattern(capsys):
     assert main(["derive", "--start", "(X0)"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_derive_rejects_depth_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", "--start", "(00)", "--depth", "0"])
+    assert exc.value.code == 2
+    assert "--depth: must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_model_check_rejects_negative_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["model-check", CLASS_FILE, "--trials", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--trials: must be at least 1, got -5" in captured.err
+    assert "status" not in captured.out
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gda.cli", "check", str(SESSIONS / "minimal.gda")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("claim: check\nstatus: ok\n")
+    assert "statements: 3" in proc.stdout
 
 
 def test_verify_class_ok_and_json_schema(capsys):

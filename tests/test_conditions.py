@@ -15,7 +15,6 @@ from gda import (
     coherence_constraints,
     collapse_signature,
     derive_tree,
-    detect_periodic,
     make_condition,
     render_tree,
     signature_label,
@@ -171,11 +170,28 @@ def test_seen_nodes_keep_their_equation_but_no_children():
         assert node.condition.equation != ""
 
 
+def test_seen_key_blanks_only_fresh_generators():
+    # user names that look like fresh ones must not merge distinct equations
+    def tree_for(names):
+        reg = SymbolRegistry()
+        indices = [Index(0, 1, 0), Index(1, 0, 0), Index(-1, -1, 0)]
+        phis = [Term.from_factor(Factor(reg.declare(n, i))) for n, i in zip(names, indices)]
+        start = make_condition(ChoiceVector.from_label("(000)"), None, phis)
+        return derive_tree(start, depth=2, registry=reg)
+
+    lookalike = tree_for(["x_f1", "x_f2", "x_f3"])
+    plain = tree_for(["xa", "xb", "xc"])
+    assert len(lookalike.nodes) == len(plain.nodes) == 13
+    assert [n.note for n in lookalike.nodes] == [n.note for n in plain.nodes]
+    assert lookalike.nodes[7].edge == "resolve 2 right"
+    assert lookalike.nodes[7].note is None
+
+
 def test_periodic_family_detected_for_two_factor_start():
     reg = SymbolRegistry()
     tree = derive_tree(standard_start("(00)", reg), depth=8, registry=reg)
-    fams = detect_periodic(tree)
-    assert fams and fams == tree.families
+    fams = tree.families
+    assert fams
     fam = fams[0]
     assert fam.relations() == [
         "0 = (alpha[k], beta[k])",

@@ -14,11 +14,12 @@ from gda import (
     SlotError,
     SymbolRegistry,
     Term,
+    VerifierSetup,
     add,
     apply_differential,
     apply_slot_differential,
+    class_layout,
     classify_push,
-    epsilon,
     normalize,
     render_term,
     scale,
@@ -147,12 +148,16 @@ def test_slot_differential_over_every_slot_is_the_full_differential(reg, sign):
 
 
 def test_epsilon_pair_and_drop(reg):
-    a = reg.declare("a", Index(1, 0, 0))
-    x = reg.declare("x", Index(0, 1, 0))
-    paired = epsilon(EpsilonMode.pair, Factor(a), Factor(x))
-    assert paired is not None and len(paired) == 2
-    dropped = epsilon(EpsilonMode.drop, Factor(a), Factor(x))
-    assert dropped == [Factor(a)]
+    comps = tuple(Factor(reg.declare(f"P{i}", Index(0, 0, 0))) for i in range(1, 5))
+    x = Term.from_factor(Factor(reg.declare("x", Index(0, 1, 0))))
+    pair = VerifierSetup(epsilon_mode=EpsilonMode.pair)
+    paired, slots = class_layout(pair, comps, x, x, x)
+    assert render_term(paired) == "(P1, x, P2, x, P3, x, P4)" and slots == (1, 3, 5, 7)
+    # in pair mode a zero first content absorbs the whole product
+    assert class_layout(pair, comps, Term.zero(), x, x)[0].is_zero
+    drop = VerifierSetup(epsilon_mode=EpsilonMode.drop)
+    dropped, slots = class_layout(drop, comps, x, x, x)
+    assert render_term(dropped) == "(P1, P2, x, P3, x, P4)" and slots == (1, 2, 4, 6)
 
 
 def test_sum_linearity(reg):

@@ -17,10 +17,10 @@ from gda import (
     Term,
     ZERO_INDEX,
     add,
+    classify_push,
     make_generator,
     multiply,
     normalize,
-    push_diff,
     render_equation,
     render_term,
     scale,
@@ -81,32 +81,36 @@ def test_factor_effective_index(reg):
     assert stacked.effective_index == Index(2, -1, 1)
 
 
+def push(factor, kind, laws=DiffLaws()):
+    return classify_push(factor, kind, laws)[0]
+
+
 def test_push_diff_orders_stack_delta_first(reg):
     a = reg.declare("a", Index(1, 0, 0))
-    f = push_diff(push_diff(Factor(a), DiffKind.Delta), DiffKind.delta)
+    f = push(push(Factor(a), DiffKind.Delta), DiffKind.delta)
     assert f.diffs == (DiffKind.delta, DiffKind.Delta)
     assert render_term(Term.from_factor(f)) == "(a.d.D)"
 
 
 def test_push_diff_chain_cochain_square_vanishes(reg):
     a = reg.declare("a", Index(1, 0, 0))
-    da = push_diff(Factor(a), DiffKind.delta)
-    assert push_diff(da, DiffKind.delta) is None
+    da = push(Factor(a), DiffKind.delta)
+    assert push(da, DiffKind.delta) is None
 
 
 def test_push_diff_Delta_stacks_by_default(reg):
     # Delta is not chain-cochain under the default laws, so it may repeat.
     a = reg.declare("a", Index(1, 0, 0))
-    Da = push_diff(Factor(a), DiffKind.Delta)
-    DDa = push_diff(Da, DiffKind.Delta)
+    Da = push(Factor(a), DiffKind.Delta)
+    DDa = push(Da, DiffKind.Delta)
     assert DDa is not None and DDa.diffs == (DiffKind.Delta, DiffKind.Delta)
 
 
 def test_push_diff_Delta_square_vanishes_when_chain_cochain(reg):
     laws = DiffLaws(Delta_chain_cochain=True, commute=True)
     a = reg.declare("a", Index(1, 0, 0))
-    Da = push_diff(Factor(a), DiffKind.Delta, laws)
-    assert push_diff(Da, DiffKind.Delta, laws) is None
+    Da = push(Factor(a), DiffKind.Delta, laws)
+    assert push(Da, DiffKind.Delta, laws) is None
 
 
 def test_closed_flag_tracks_the_right_kind(reg):

@@ -16,6 +16,7 @@ from gda import (
     VerifierSetup,
     XiMode,
     add,
+    apply_differential,
     build_class,
     build_closure_set,
     cancel_hypotheses,
@@ -24,7 +25,6 @@ from gda import (
     reduce_modulo,
     render_term,
     scale,
-    slot_diff_sum,
     verify_cocycle,
     verify_independence,
 )
@@ -102,7 +102,7 @@ def test_build_class_drop_mode_has_six_slots():
 def test_slot_diff_sum_hits_only_named_slots():
     reg, phi, eta, comps, ideals, setup = standard_context()
     term = build_class(phi, comps, setup)
-    out = slot_diff_sum(term, (1, 3), setup)
+    out = apply_differential(setup.d, term, setup.sign, setup.laws, (1, 3))
     for mono in out.monomials():
         names = [f.generator.name for f in mono.factors]
         assert names[1] == "phi" or names[1].startswith("Phi")
@@ -190,7 +190,7 @@ def test_reduce_modulo_traces_ideal_deletions():
     term = build_class(phi, comps, setup)
     # differentiating the bare content slot duplicates phi.d, which the
     # non-local ideal then removes
-    with_dupe = slot_diff_sum(term, (6,), setup)
+    with_dupe = apply_differential(setup.d, term, setup.sign, setup.laws, (6,))
     reduced, trace = reduce_modulo(with_dupe, ideals, [], setup)
     assert reduced.is_zero
     assert [step.rule for step in trace] == ["ideal:nonlocal2"]
