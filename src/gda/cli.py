@@ -10,18 +10,19 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace as dc_replace
 
 from .conditions import derive_tree, render_tree, standard_start, tree_to_json
-from .differentials import EpsilonMode, SignMode, apply_differential
-from .dsl import load_session, parse_file, print_session
+from .differentials import SignMode, apply_differential
+from .dsl import Session, load_session, parse_file, print_session
 from .errors import GdaError, GdaSyntaxError, ModelError
 from .model import (
     corner_model,
     derive_element,
     evaluate,
+    kernel_basis,
     raising_model,
     random_element,
+    random_in_span,
 )
 from .terms import (
     DEFAULT_LAWS,
@@ -32,14 +33,15 @@ from .terms import (
     Term,
     render_term,
 )
-from .verifier import (
-    VerificationReport,
-    XiMode,
-    verify_cocycle,
-    verify_independence,
-)
+from .verifier import VerificationReport, verify_cocycle, verify_independence
 
-_FIELD_FOR_SIGN = {SignMode.paper_literal: "gf2", SignMode.koszul: "q"}
+# session flags, each the command-line form of the `set` line with its key
+_SESSION_FLAGS = {
+    "sign-mode": ["paper", "koszul"],
+    "epsilon-mode": ["pair", "drop"],
+    "xi-mode": ["sum", "pairs"],
+    "d": ["delta", "Delta"],
+}
 
 
 def _print_report(report: VerificationReport, mode: str) -> int:
@@ -65,26 +67,17 @@ def _print_report(report: VerificationReport, mode: str) -> int:
     return 0 if report.ok else 1
 
 
-def _apply_overrides(session, args) -> None:
-    setup = session.setup
-    if getattr(args, "sign_mode", None):
-        setup = dc_replace(setup, sign=SignMode(args.sign_mode))
-    if getattr(args, "epsilon_mode", None):
-        setup = dc_replace(setup, epsilon_mode=EpsilonMode(args.epsilon_mode))
-    if getattr(args, "xi_mode", None):
-        setup = dc_replace(setup, xi_mode=XiMode(args.xi_mode))
-    if getattr(args, "d", None):
-        setup = dc_replace(setup, d=DiffKind(args.d))
-    if getattr(args, "literal_m_coherence", False):
-        session.literal_m = True
-    if getattr(args, "depth", None) is not None:
-        session.depth = args.depth
-    session.setup = setup
+def _load(args) -> Session:
+    """The session file with each session flag given as its `set` line."""
+    settings = {key: getattr(args, key.replace("-", "_")) for key in _SESSION_FLAGS}
+    settings["literal-m-coherence"] = args.literal_m_coherence
+    return load_session(
+        args.file, {key: value for key, value in settings.items() if value}
+    )
 
 
 def _cmd_check(args) -> int:
-    session = load_session(args.file)
-    _apply_overrides(session, args)
+    session = _load(args)
     report = VerificationReport(
         "check", "ok", Term.zero(), [],
         notes=[
@@ -103,12 +96,11 @@ def _cmd_print(args) -> int:
 
 def _cmd_derive(args) -> int:
     registry = SymbolRegistry()
-    sign = SignMode(args.sign_mode) if args.sign_mode else SignMode.paper_literal
-    d = DiffKind(args.d) if args.d else DiffKind.delta
-    depth = 8 if args.depth is None else args.depth
+    sign = SignMode(args.sign_mode)
+    d = DiffKind(args.d)
     pattern = args.start.strip("()")
     start = standard_start(pattern, registry, d, sign, DEFAULT_LAWS)
-    tree = derive_tree(start, depth, sign, d, DEFAULT_LAWS, registry)
+    tree = derive_tree(start, args.depth, sign, d, DEFAULT_LAWS, registry)
     if args.report == "json":
         sys.stdout.write(json.dumps(tree_to_json(tree), sort_keys=True, indent=2) + "\n")
     else:
@@ -117,8 +109,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_verify_class(args) -> int:
-    session = load_session(args.file)
-    _apply_overrides(session, args)
+    session = _load(args)
     class_term = session.class_term(args.class_name)
     closure_set = session.closure_set(args.hypotheses)
     report = verify_cocycle(class_term, closure_set, session.ideals, session.setup)
@@ -126,8 +117,7 @@ def _cmd_verify_class(args) -> int:
 
 
 def _cmd_verify_independence(args) -> int:
-    session = load_session(args.file)
-    _apply_overrides(session, args)
+    session = _load(args)
     phi, completions = session.class_parts(args.class_name)
     eta = session.factor(args.eta)
     closure_set = session.closure_set(args.hypotheses)
@@ -138,24 +128,19 @@ def _cmd_verify_independence(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
-    session = load_session(args.file)
-    _apply_overrides(session, args)
-    field_name = args.field or _FIELD_FOR_SIGN[session.setup.sign]
-    if _FIELD_FOR_SIGN[session.setup.sign] != field_name:
-        raise ModelError(
-            f"sign mode {session.setup.sign.value} pairs with the"
-            f" {_FIELD_FOR_SIGN[session.setup.sign]} model, not {field_name}"
-        )
-    model = corner_model() if field_name == "gf2" else raising_model()
+    session = _load(args)
+    model = corner_model() if session.setup.sign is SignMode.paper_literal else raising_model()
     d = session.setup.d
     if d not in model.tables:
-        raise ModelError(f"the {field_name} model has no table for {d.token}")
+        raise ModelError(f"the {model.field} model has no table for {d.token}")
     rng = random.Random(args.seed)
     gens = [
         session.registry.get(name)
         for name in session.registry.names()
         if not session.registry.get(name).fresh
     ]
+    # a d-closed generator takes values in the kernel of d; one basis per parity
+    kernels: dict[int | None, list] = {}
     notes: list[str] = []
     status = "ok"
     if not gens:
@@ -172,7 +157,12 @@ def _cmd_model_check(args) -> int:
             assignment = {}
             for sym in gens:
                 parity = sym.index.n % 2 if model.field == "q" else None
-                assignment[sym.name] = random_element(model, rng, parity)
+                if sym.closed_under(d):
+                    if parity not in kernels:
+                        kernels[parity] = kernel_basis(model, d, parity)
+                    assignment[sym.name] = random_in_span(model, kernels[parity], rng)
+                else:
+                    assignment[sym.name] = random_element(model, rng, parity)
             symbolic = apply_differential(
                 d, term, session.setup.sign, session.setup.laws
             )
@@ -196,59 +186,57 @@ def _at_least_one(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", choices=["text", "json"], default="text")
-    common.add_argument("--seed", type=int, default=0)
-    overrides = argparse.ArgumentParser(add_help=False)
-    overrides.add_argument("--sign-mode", choices=["paper", "koszul"])
-    overrides.add_argument("--epsilon-mode", choices=["pair", "drop"])
-    overrides.add_argument("--xi-mode", choices=["sum", "pairs"])
-    overrides.add_argument("--d", choices=["delta", "Delta"])
-    overrides.add_argument("--depth", type=_at_least_one)
-    overrides.add_argument("--literal-m-coherence", action="store_true")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", choices=["text", "json"], default="text")
+    session = argparse.ArgumentParser(add_help=False, parents=[report])
+    session.add_argument("file")
+    for key, choices in _SESSION_FLAGS.items():
+        session.add_argument(f"--{key}", choices=choices, help=f"as `set {key}`")
+    session.add_argument("--literal-m-coherence", action="store_const", const="on",
+                         help="as `set literal-m-coherence on`")
 
     parser = argparse.ArgumentParser(
         prog="gda",
         description="Work with graded differential sessions: derive"
         " consequence trees, verify classes, spot-check in finite models.",
+        epilog="A session flag acts as its `set` line at the top of the"
+        " file and wins over the file's own line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common, overrides],
+    p = sub.add_parser("check", parents=[session],
                        help="parse and validate a session file")
-    p.add_argument("file")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("print", parents=[common],
-                       help="reprint a session file canonically")
+    p = sub.add_parser("print", help="reprint a session file canonically")
     p.add_argument("file")
     p.set_defaults(func=_cmd_print)
 
-    p = sub.add_parser("derive", parents=[common, overrides],
+    p = sub.add_parser("derive", parents=[report],
                        help="expand the consequence tree of a start pattern")
     p.add_argument("--start", required=True, metavar="PATTERN")
+    p.add_argument("--sign-mode", choices=_SESSION_FLAGS["sign-mode"], default="paper")
+    p.add_argument("--d", choices=_SESSION_FLAGS["d"], default="delta")
+    p.add_argument("--depth", type=_at_least_one, default=8)
     p.set_defaults(func=_cmd_derive)
 
-    p = sub.add_parser("verify-class", parents=[common, overrides],
+    p = sub.add_parser("verify-class", parents=[session],
                        help="check that a declared class is a cocycle")
-    p.add_argument("file")
     p.add_argument("--class", dest="class_name", required=True)
     p.add_argument("--hypotheses")
     p.set_defaults(func=_cmd_verify_class)
 
-    p = sub.add_parser("verify-independence", parents=[common, overrides],
+    p = sub.add_parser("verify-independence", parents=[session],
                        help="check the class shift against a reconstructed primitive")
-    p.add_argument("file")
     p.add_argument("--class", dest="class_name", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--hypotheses")
     p.set_defaults(func=_cmd_verify_independence)
 
-    p = sub.add_parser("model-check", parents=[common, overrides],
+    p = sub.add_parser("model-check", parents=[session],
                        help="evaluate the symbolic differential in a finite model")
-    p.add_argument("file")
     p.add_argument("--trials", type=_at_least_one, default=20)
-    p.add_argument("--field", choices=["q", "gf2"])
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_model_check)
 
     return parser

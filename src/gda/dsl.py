@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
+from typing import Mapping
 
 from .conditions import Condition, check_coherence
 from .differentials import EpsilonMode, SignMode
@@ -67,21 +68,27 @@ class FactorExpr:
 
 
 @dataclass(frozen=True)
-class SetStatement:
+class _Located:
+    """Where a statement's head token sits in its file (1-based)."""
+
+    line: int = field(default=0, compare=False, kw_only=True)
+    column: int = field(default=0, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class SetStatement(_Located):
     key: str
     value: str
-    line: int = field(default=0, compare=False)
 
     def render(self) -> str:
         return f"set {self.key} {self.value};"
 
 
 @dataclass(frozen=True)
-class GenStatement:
+class GenStatement(_Located):
     name: str
     index: Index
     flags: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
 
     def render(self) -> str:
         out = f"gen {self.name} index {self.index}"
@@ -91,21 +98,19 @@ class GenStatement:
 
 
 @dataclass(frozen=True)
-class IdealStatement:
+class IdealStatement(_Located):
     kind: str
     pattern: FactorExpr
-    line: int = field(default=0, compare=False)
 
     def render(self) -> str:
         return f"ideal {self.kind} {self.pattern.render()};"
 
 
 @dataclass(frozen=True)
-class ConditionStatement:
+class ConditionStatement(_Located):
     label: str
     lhs: FactorExpr | None
     rhs: tuple[FactorExpr, ...]
-    line: int = field(default=0, compare=False)
 
     def render(self) -> str:
         lhs = "0" if self.lhs is None else self.lhs.render()
@@ -114,11 +119,10 @@ class ConditionStatement:
 
 
 @dataclass(frozen=True)
-class CompletionStatement:
+class CompletionStatement(_Located):
     name: str
     phis: tuple[str, ...]
     Phis: tuple[str, ...]
-    line: int = field(default=0, compare=False)
 
     def render(self) -> str:
         return (
@@ -128,12 +132,11 @@ class CompletionStatement:
 
 
 @dataclass(frozen=True)
-class HypothesesStatement:
+class HypothesesStatement(_Located):
     name: str
     first: str
     second: str
     completions: tuple[str, ...]
-    line: int = field(default=0, compare=False)
 
     def render(self) -> str:
         return (
@@ -143,11 +146,10 @@ class HypothesesStatement:
 
 
 @dataclass(frozen=True)
-class ClassStatement:
+class ClassStatement(_Located):
     name: str
     phi: str
     completions: tuple[str, ...]
-    line: int = field(default=0, compare=False)
 
     def render(self) -> str:
         return (
@@ -312,9 +314,9 @@ class _Parser:
         handler = getattr(self, f"stmt_{head.text}", None)
         if handler is None:
             raise self.error(f"unknown statement {head.text!r}", head)
-        return handler(head.line)
+        return dc_replace(handler(), line=head.line, column=head.column)
 
-    def stmt_set(self, line: int) -> SetStatement:
+    def stmt_set(self) -> SetStatement:
         key = self.hyphen_name()
         if key == "bound":
             key = f"bound {self.hyphen_name()}"
@@ -323,9 +325,9 @@ class _Parser:
         else:
             value = str(self.signed_int())
         self.expect(";")
-        return SetStatement(key, value, line)
+        return SetStatement(key, value)
 
-    def stmt_gen(self, line: int) -> GenStatement:
+    def stmt_gen(self) -> GenStatement:
         name = self.expect(kind="name").text
         self.expect("index")
         idx = self.index()
@@ -336,17 +338,17 @@ class _Parser:
             flags = self.name_list()
             self.expect("]")
         self.expect(";")
-        return GenStatement(name, idx, flags, line)
+        return GenStatement(name, idx, flags)
 
-    def stmt_ideal(self, line: int) -> IdealStatement:
+    def stmt_ideal(self) -> IdealStatement:
         kind = self.expect(kind="name")
         if kind.text not in _IDEAL_KINDS:
             raise self.error(f"unknown ideal kind {kind.text!r}", kind)
         pattern = self.fexpr()
         self.expect(";")
-        return IdealStatement(kind.text, pattern, line)
+        return IdealStatement(kind.text, pattern)
 
-    def stmt_condition(self, line: int) -> ConditionStatement:
+    def stmt_condition(self) -> ConditionStatement:
         self.expect("(")
         label = ""
         while self.peek().text != ")":
@@ -367,9 +369,9 @@ class _Parser:
             rhs.append(self.fexpr_with_overlap())
         self.expect(")")
         self.expect(";")
-        return ConditionStatement(label, lhs, tuple(rhs), line)
+        return ConditionStatement(label, lhs, tuple(rhs))
 
-    def stmt_completion(self, line: int) -> CompletionStatement:
+    def stmt_completion(self) -> CompletionStatement:
         name = self.expect(kind="name").text
         self.expect(kind="assign")
         self.expect("complete")
@@ -379,9 +381,9 @@ class _Parser:
         Phis = self.name_list()
         self.expect(")")
         self.expect(";")
-        return CompletionStatement(name, phis, Phis, line)
+        return CompletionStatement(name, phis, Phis)
 
-    def stmt_hypotheses(self, line: int) -> HypothesesStatement:
+    def stmt_hypotheses(self) -> HypothesesStatement:
         name = self.expect(kind="name").text
         self.expect(kind="assign")
         self.expect("closure")
@@ -393,9 +395,9 @@ class _Parser:
         comps = self.name_list()
         self.expect(")")
         self.expect(";")
-        return HypothesesStatement(name, first, second, comps, line)
+        return HypothesesStatement(name, first, second, comps)
 
-    def stmt_class(self, line: int) -> ClassStatement:
+    def stmt_class(self) -> ClassStatement:
         name = self.expect(kind="name").text
         self.expect(kind="assign")
         self.expect("invariant")
@@ -405,7 +407,7 @@ class _Parser:
         comps = self.name_list()
         self.expect(")")
         self.expect(";")
-        return ClassStatement(name, phi, comps, line)
+        return ClassStatement(name, phi, comps)
 
 
 def parse_text(text: str, filename: str = "<input>") -> list[Statement]:
@@ -432,7 +434,6 @@ class Session:
     hypothesis_decls: dict[str, tuple[str, str, tuple[str, ...]]]
     class_decls: dict[str, tuple[str, tuple[str, ...]]]
     setup: VerifierSetup
-    depth: int
     bounds: IndexBounds
     literal_m: bool
     statements: list[Statement]
@@ -471,19 +472,27 @@ class Session:
         return build_class(phi, comps, self.setup)
 
 
-def _on_off(value: str, key: str, line: int, filename: str) -> bool:
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise GdaSyntaxError(f"{key} wants on or off, got {value!r}", line, 1, filename)
+def _on_off(value: str, key: str) -> bool:
+    if value not in ("on", "off"):
+        raise ValueError(f"{key} wants on or off, got {value!r}")
+    return value == "on"
 
 
-def build_session(statements: list[Statement], filename: str = "<input>") -> Session:
+def build_session(
+    statements: list[Statement],
+    filename: str = "<input>",
+    settings: Mapping[str, str] | None = None,
+) -> Session:
+    """Build a session from parsed statements.
+
+    settings maps ``set`` keys to values.  They act as ``set`` lines
+    ahead of the file, and the file's own ``set`` lines for those keys
+    are skipped, so a setting wins over the file.
+    """
+    settings = dict(settings or {})
     registry = SymbolRegistry()
     ideals = IdealRegistry()
     setup = VerifierSetup()
-    depth = 8
     literal_m = False
     bounds = IndexBounds()
     conditions: list[Condition] = []
@@ -498,16 +507,20 @@ def build_session(statements: list[Statement], filename: str = "<input>") -> Ses
         sym = registry.get(fe.name)
         return Factor(sym, tuple(wrap_kind(w) for w in fe.wraps))
 
-    for st in statements:
+    def fail(message: str) -> GdaSyntaxError:
+        return GdaSyntaxError(message, st.line, st.column, filename)
+
+    given = [SetStatement(key, value) for key, value in settings.items()]
+    for st in given + [
+        s for s in statements
+        if not (isinstance(s, SetStatement) and s.key in settings)
+    ]:
         try:
             if isinstance(st, SetStatement):
                 key, value = st.key, st.value
                 if key == "d":
                     if value not in ("delta", "Delta"):
-                        raise GdaSyntaxError(
-                            f"d must be delta or Delta, got {value!r}",
-                            st.line, 1, filename,
-                        )
+                        raise fail(f"d must be delta or Delta, got {value!r}")
                     setup = dc_replace(setup, d=DiffKind(value))
                 elif key == "sign-mode":
                     setup = dc_replace(setup, sign=SignMode(value))
@@ -515,41 +528,29 @@ def build_session(statements: list[Statement], filename: str = "<input>") -> Ses
                     setup = dc_replace(setup, epsilon_mode=EpsilonMode(value))
                 elif key == "xi-mode":
                     setup = dc_replace(setup, xi_mode=XiMode(value))
-                elif key == "depth":
-                    depth = int(value)
-                    if depth < 1:
-                        raise GdaSyntaxError("depth must be at least 1", st.line, 1, filename)
                 elif key == "literal-m-coherence":
-                    literal_m = _on_off(value, key, st.line, filename)
+                    literal_m = _on_off(value, key)
                 elif key == "Delta-chain-cochain":
                     setup = dc_replace(
                         setup,
                         laws=dc_replace(
-                            setup.laws,
-                            Delta_chain_cochain=_on_off(value, key, st.line, filename),
+                            setup.laws, Delta_chain_cochain=_on_off(value, key)
                         ),
                     )
                 elif key == "commute":
                     setup = dc_replace(
-                        setup,
-                        laws=dc_replace(
-                            setup.laws, commute=_on_off(value, key, st.line, filename)
-                        ),
+                        setup, laws=dc_replace(setup.laws, commute=_on_off(value, key))
                     )
                 elif key.startswith("bound "):
                     bound_key = key.split(" ", 1)[1]
                     if bound_key not in _BOUND_KEYS:
-                        raise GdaSyntaxError(
-                            f"unknown bound {bound_key!r}", st.line, 1, filename
-                        )
+                        raise fail(f"unknown bound {bound_key!r}")
                     bounds = dc_replace(bounds, **{_BOUND_KEYS[bound_key]: int(value)})
                 else:
-                    raise GdaSyntaxError(f"unknown setting {key!r}", st.line, 1, filename)
+                    raise fail(f"unknown setting {key!r}")
             elif isinstance(st, GenStatement):
                 if st.name in ("d", "D"):
-                    raise GdaSyntaxError(
-                        f"generator name {st.name!r} is reserved", st.line, 1, filename
-                    )
+                    raise fail(f"generator name {st.name!r} is reserved")
                 closed: list[str] = []
                 role = "plain"
                 for flag in st.flags:
@@ -559,16 +560,12 @@ def build_session(statements: list[Statement], filename: str = "<input>") -> Ses
                     elif flag in ("picked", "completion"):
                         role = flag
                     else:
-                        raise GdaSyntaxError(
-                            f"unknown flag {flag!r}", st.line, 1, filename
-                        )
+                        raise fail(f"unknown flag {flag!r}")
                 bounds.check(st.index, st.name)
                 registry.declare(st.name, st.index, closed, role)
             elif isinstance(st, IdealStatement):
                 if st.pattern.r or st.pattern.t:
-                    raise GdaSyntaxError(
-                        "ideal patterns take no overlap suffix", st.line, 1, filename
-                    )
+                    raise fail("ideal patterns take no overlap suffix")
                 ideals.register(IdealKind(st.kind), resolve(st.pattern), setup.laws)
             elif isinstance(st, ConditionStatement):
                 factors = [resolve(fe) for fe in st.rhs]
@@ -576,10 +573,9 @@ def build_session(statements: list[Statement], filename: str = "<input>") -> Ses
                 mono = Monomial(tuple(factors), overlaps)
                 sig = mono.signature()
                 if st.label != sig:
-                    raise GdaSyntaxError(
+                    raise fail(
                         f"label ({st.label}) does not match the right-hand"
-                        f" side signature ({sig})",
-                        st.line, 1, filename,
+                        f" side signature ({sig})"
                     )
                 rhs = normalize(Term.from_monomial(mono), setup.laws)
                 if st.lhs is None:
@@ -594,54 +590,40 @@ def build_session(statements: list[Statement], filename: str = "<input>") -> Ses
                 conditions.append(cond)
             elif isinstance(st, CompletionStatement):
                 if st.name in completions:
-                    raise GdaSyntaxError(
-                        f"completion {st.name!r} already defined", st.line, 1, filename
-                    )
+                    raise fail(f"completion {st.name!r} already defined")
                 completions[st.name] = make_completion(
                     [Factor(registry.get(n)) for n in st.phis],
                     [Factor(registry.get(n)) for n in st.Phis],
                 )
             elif isinstance(st, HypothesesStatement):
                 if st.name in hyps:
-                    raise GdaSyntaxError(
-                        f"closure set {st.name!r} already defined", st.line, 1, filename
-                    )
+                    raise fail(f"closure set {st.name!r} already defined")
                 for n in (st.first, st.second, *st.completions):
                     registry.get(n)
                 if len(st.completions) != 4:
-                    raise GdaSyntaxError(
-                        "closure needs exactly 4 completion factors",
-                        st.line, 1, filename,
-                    )
+                    raise fail("closure needs exactly 4 completion factors")
                 hyps[st.name] = (st.first, st.second, st.completions)
             elif isinstance(st, ClassStatement):
                 if st.name in classes:
-                    raise GdaSyntaxError(
-                        f"class {st.name!r} already defined", st.line, 1, filename
-                    )
+                    raise fail(f"class {st.name!r} already defined")
                 for n in (st.phi, *st.completions):
                     registry.get(n)
                 if len(st.completions) != 4:
-                    raise GdaSyntaxError(
-                        "a class needs exactly 4 completion factors",
-                        st.line, 1, filename,
-                    )
+                    raise fail("a class needs exactly 4 completion factors")
                 classes[st.name] = (st.phi, st.completions)
             else:
-                raise GdaSyntaxError(
-                    f"unhandled statement {type(st).__name__}", st.line, 1, filename
-                )
+                raise fail(f"unhandled statement {type(st).__name__}")
         except GdaSyntaxError:
             raise
         except (GdaError, ValueError) as err:
-            raise GdaSyntaxError(str(err), st.line, 1, filename) from err
+            raise fail(str(err)) from err
 
     return Session(
         registry, ideals, conditions, completions, hyps, classes,
-        setup, depth, bounds, literal_m, list(statements), filename,
+        setup, bounds, literal_m, list(statements), filename,
     )
 
 
-def load_session(path: str | Path) -> Session:
+def load_session(path: str | Path, settings: Mapping[str, str] | None = None) -> Session:
     path = Path(path)
-    return build_session(parse_file(path), str(path))
+    return build_session(parse_file(path), str(path), settings)

@@ -257,7 +257,11 @@ def kernel_basis(model: Model, kind: DiffKind, parity: int | None = None) -> lis
 def random_kernel_element(
     model: Model, kind: DiffKind, rng: random.Random, parity: int | None = None
 ) -> Element:
-    basis = kernel_basis(model, kind, parity)
+    return random_in_span(model, kernel_basis(model, kind, parity), rng)
+
+
+def random_in_span(model: Model, basis: list[Element], rng: random.Random) -> Element:
+    """Random combination of basis vectors with small coefficients."""
     out: Element = {}
     for vec in basis:
         c = Fraction(rng.randint(0, 1)) if model.field == "gf2" else Fraction(rng.randint(-2, 2))

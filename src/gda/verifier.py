@@ -389,6 +389,10 @@ def verify_independence(
     """Check that replacing the picked element by its sum with another
     admissible element shifts the class by an exact differential, and
     produce that primitive."""
+    if setup.epsilon_mode is not EpsilonMode.pair:
+        raise LayoutError(
+            "primitive reconstruction needs the paired layout (epsilon mode pair)"
+        )
     phi_t = Term.from_factor(phi)
     eta_t = Term.from_factor(eta)
     class_phi = build_class(phi_t, completions, setup)
@@ -400,10 +404,7 @@ def verify_independence(
         completions,
         *_content_terms(setup, phi_t, phi_t, phi_t, 1),
     )
-    content_positions = [
-        p for p in range(1, 8 if setup.epsilon_mode is EpsilonMode.pair else 7)
-        if p not in slots
-    ]
+    content_positions = [p for p in range(1, 8) if p not in slots]
 
     trace: list[TraceStep] = []
     primitive = Term.zero()
@@ -416,10 +417,7 @@ def verify_independence(
         if hypothesis is None:
             failures.append(f"no closure condition for assignment {names}")
             continue
-        slot1_pos = content_positions[0] if setup.epsilon_mode is EpsilonMode.pair else None
-        if slot1_pos is None:
-            failures.append("primitive reconstruction needs the paired layout")
-            break
+        slot1_pos = content_positions[0]
         stripped = _strip_inner(mono.factors[slot1_pos - 1], setup)
         if stripped is None:
             failures.append(f"cannot strip the first content slot of {mono}")

@@ -51,13 +51,11 @@ def test_set_statements_configure_session():
     s = build(
         "set d Delta;\n"
         "set sign-mode koszul;\n"
-        "set depth 4;\n"
         "set literal-m-coherence on;\n"
         "set bound n-min 0;\n"
     )
     assert s.setup.d is DiffKind.Delta
     assert s.setup.sign is SignMode.koszul
-    assert s.depth == 4
     assert s.literal_m is True
     assert s.bounds.n_min == 0
 
@@ -69,6 +67,23 @@ def test_set_rejects_unknown_keys_and_values():
         build("set commute maybe;")
     with pytest.raises(GdaSyntaxError, match="delta or Delta"):
         build("set d gamma;")
+
+
+def test_settings_act_as_leading_set_lines_and_win():
+    stmts = parse_text("set d delta;\ngen b index (0,1,0) flags [dclosed];")
+    s = build_session(stmts, settings={"d": "Delta", "literal-m-coherence": "on"})
+    assert s.setup.d is DiffKind.Delta
+    assert s.registry.get("b").closed_under(DiffKind.Delta)
+    assert s.literal_m is True
+    # the session keeps the file's own statements
+    assert s.statements == stmts
+
+
+def test_build_errors_report_the_statement_column():
+    with pytest.raises(GdaSyntaxError) as err:
+        build("gen a index (1,0,0);\n  gen a index (0,1,0);")
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert str(err.value).startswith("<input>:2:3: error:")
 
 
 def test_gen_reserved_names_and_flags():
