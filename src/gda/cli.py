@@ -98,8 +98,7 @@ def _cmd_derive(args) -> int:
     registry = SymbolRegistry()
     sign = SignMode(args.sign_mode)
     d = DiffKind(args.d)
-    pattern = args.start.strip("()")
-    start = standard_start(pattern, registry, d, sign, DEFAULT_LAWS)
+    start = standard_start(args.start, registry, d, sign, DEFAULT_LAWS)
     tree = derive_tree(start, args.depth, sign, d, DEFAULT_LAWS, registry)
     if args.report == "json":
         sys.stdout.write(json.dumps(tree_to_json(tree), sort_keys=True, indent=2) + "\n")

@@ -35,7 +35,8 @@ from .terms import (
     render_equation,
 )
 
-_SIG_RE = re.compile(r"[I0]+\Z")
+# a signature, bare or in exactly one pair of parentheses
+_LABEL_RE = re.compile(r"\(([I0]+)\)|([I0]+)")
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ class ChoiceVector:
 
     @classmethod
     def from_label(cls, label: str) -> "ChoiceVector":
-        sig = label.strip("()")
-        if not _SIG_RE.match(sig):
+        match = _LABEL_RE.fullmatch(label)
+        if match is None:
             raise ArityError(f"invalid choice pattern {label!r}")
+        sig = match.group(1) or match.group(2)
         return cls(tuple(1 if ch == "I" else 0 for ch in sig))
 
     @property

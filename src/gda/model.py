@@ -7,7 +7,11 @@ algebra as derivations and everything is checked numerically, so a
 symbolic identity can be compared against honest arithmetic.
 
 Elements are dicts from generator bitmask to coefficient; basis
-products are ordered by ascending generator index.
+products are ordered by ascending generator index.  Coefficients are
+exact: an int wherever the value is integral and a Fraction only where
+it is not, so over the two-element field every stored value is the
+int 1.  Each derivation is computed once per model as the image of
+every basis mask, and each kernel basis once per (kind, parity).
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from fractions import Fraction
 from .errors import AssignmentError, ModelError
 from .terms import DiffKind, Term
 
-Element = dict[int, Fraction]
+Coefficient = int | Fraction
+Element = dict[int, Coefficient]
 
 MAX_GENERATORS = 6
 
@@ -27,58 +32,85 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _crossings(left: int, right: int) -> int:
-    # inversions between ascending sequences: pairs (x in left, y in right)
-    # with x above y
-    count = 0
-    y = right
-    while y:
-        bit = y & -y
-        count += _popcount(left & ~(bit | (bit - 1)))
-        y &= y - 1
-    return count
+def _crossing_parities(k: int) -> list[bytes]:
+    # row `left`, column `right`: parity of the inversions between the
+    # ascending generator lists, pairs (x in left, y in right) with x
+    # above y.  A right side whose top generator is j crosses what the
+    # same side without j crosses, plus the generators of left above j.
+    flip = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+    rows = []
+    for left in range(1 << k):
+        row = b"\x00"
+        for j in range(k):
+            row += row.translate(flip) if _popcount(left >> (j + 1)) % 2 else row
+        rows.append(row)
+    return rows
 
 
-def _coeff(field_name: str, value: Fraction) -> Fraction:
-    if field_name == "gf2":
-        if value.denominator % 2 == 0:
+_ODD_CROSSINGS = _crossing_parities(MAX_GENERATORS)
+
+
+def _coeff(field_name: str, value: Coefficient) -> Coefficient:
+    """The exact value in the field: an int when integral, else a Fraction."""
+    if type(value) is not int:
+        if value.denominator == 1:
+            value = value.numerator
+        elif field_name != "gf2":
+            return value
+        elif value.denominator % 2 == 0:
             raise ModelError(
                 "coefficient with even denominator has no value in the"
                 " two-element field"
             )
-        return Fraction(value.numerator % 2)
-    return value
+        else:
+            value = value.numerator
+    return value & 1 if field_name == "gf2" else value
 
 
-def element_add(field_name: str, a: Element, b: Element) -> Element:
-    out = dict(a)
-    for mask, c in b.items():
-        out[mask] = out.get(mask, Fraction(0)) + c
-    return {m: _coeff(field_name, c) for m, c in out.items() if _coeff(field_name, c)}
-
-
-def element_scale(field_name: str, c: Fraction, a: Element) -> Element:
-    c = _coeff(field_name, c)
-    if not c:
-        return {}
-    return {m: _coeff(field_name, c * v) for m, v in a.items() if _coeff(field_name, c * v)}
+def _reduced(field_name: str, acc: dict[int, Coefficient]) -> Element:
+    # the accumulated sums in the field, zero entries dropped
+    if field_name == "gf2":
+        return {m: 1 for m, c in acc.items() if (c & 1 if type(c) is int else _coeff(field_name, c))}
+    return {m: c for m, c in acc.items() if c}
 
 
 def wedge(field_name: str, a: Element, b: Element) -> Element:
-    out: Element = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            if ma & mb:
-                continue
-            c = ca * cb
-            if field_name == "q" and _crossings(ma, mb) % 2:
-                c = -c
-            mask = ma | mb
-            out[mask] = out.get(mask, Fraction(0)) + c
-    return {m: _coeff(field_name, c) for m, c in out.items() if _coeff(field_name, c)}
+    acc: dict[int, Coefficient] = {}
+    if field_name == "gf2":
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                if not ma & mb:
+                    m = ma | mb
+                    acc[m] = acc.get(m, 0) + ca * cb
+    else:
+        for ma, ca in a.items():
+            odd = _ODD_CROSSINGS[ma]
+            for mb, cb in b.items():
+                if not ma & mb:
+                    m = ma | mb
+                    acc[m] = acc.get(m, 0) + (-ca * cb if odd[mb] else ca * cb)
+    return _reduced(field_name, acc)
 
 
-ONE: Element = {0: Fraction(1)}
+def _basis_image(field_name: str, table: dict[int, Element], mask: int) -> Element:
+    # the derivation on one basis product: each generator in turn is
+    # replaced by its image, with the sign of the generators before it
+    acc: dict[int, Coefficient] = {}
+    seen_below = 0
+    m = mask
+    while m:
+        bit = m & -m
+        m &= m - 1
+        image = table.get(bit)
+        if image:
+            image = {im: _coeff(field_name, c) for im, c in image.items()}
+            below = mask & (bit - 1)
+            piece = wedge(field_name, {below: 1}, wedge(field_name, image, {m: 1}))
+            negate = field_name == "q" and seen_below % 2
+            for pm, c in piece.items():
+                acc[pm] = acc.get(pm, 0) + (-c if negate else c)
+        seen_below += 1
+    return _reduced(field_name, acc)
 
 
 @dataclass(frozen=True)
@@ -86,6 +118,27 @@ class Model:
     k: int
     field: str
     tables: dict[DiffKind, dict[int, Element]] = field(default_factory=dict)
+    # derived from the tables: each derivation as the image of every basis
+    # mask, the basis masks per parity (None: all of them), and the kernel
+    # bases solved so far, keyed by (kind, parity)
+    images: dict[DiffKind, list[Element]] = field(init=False, repr=False, compare=False)
+    masks: dict[int | None, list[int]] = field(init=False, repr=False, compare=False)
+    kernels: dict[tuple[DiffKind, int | None], list[Element]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        basis = self.basis
+        images = {
+            kind: [_basis_image(self.field, table, mask) for mask in basis]
+            for kind, table in self.tables.items()
+        }
+        masks = {None: basis, 0: [], 1: []}
+        for mask in basis:
+            masks[_popcount(mask) % 2].append(mask)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "kernels", {})
 
     @property
     def basis(self) -> list[int]:
@@ -93,25 +146,17 @@ class Model:
 
 
 def _derive(model: Model, kind: DiffKind, element: Element) -> Element:
-    table = model.tables.get(kind)
-    if table is None:
+    images = model.images.get(kind)
+    if images is None:
         raise ModelError(f"model has no table for {kind.token}")
-    out: Element = {}
-    for mask, coeff in element.items():
-        seen_below = 0
-        m = mask
-        while m:
-            bit = m & -m
-            m &= m - 1
-            image = table.get(bit)
-            if image:
-                below = mask & (bit - 1)
-                above = mask & ~(bit | (bit - 1))
-                piece = wedge(model.field, {below: Fraction(1)}, wedge(model.field, image, {above: Fraction(1)}))
-                sign = Fraction(-1 if (model.field == "q" and seen_below % 2) else 1)
-                out = element_add(model.field, out, element_scale(model.field, sign * coeff, piece))
-            seen_below += 1
-    return out
+    acc: dict[int, Coefficient] = {}
+    try:
+        for mask, c in element.items():
+            for m, v in images[mask].items():
+                acc[m] = acc.get(m, 0) + c * v
+    except IndexError:
+        raise ModelError(f"element mask {mask} outside the algebra") from None
+    return _reduced(model.field, acc)
 
 
 def derive_element(model: Model, kind: DiffKind, element: Element) -> Element:
@@ -152,18 +197,16 @@ def build_model(
                         " parity"
                     )
     model = Model(k, field_name, {k_: dict(t) for k_, t in tables.items()})
-    for kind in model.tables:
-        for bit in model.tables[kind]:
-            twice = _derive(model, kind, _derive(model, kind, {bit: Fraction(1)}))
-            if twice:
+    for kind, table in model.tables.items():
+        for bit in table:
+            if _derive(model, kind, model.images[kind][bit]):
                 raise ModelError(f"{kind.token} does not square to zero on generator {bit.bit_length()}")
     if require_commute and len(model.tables) == 2:
         a, b = sorted(model.tables, key=lambda kk: kk.value)
         for bit in range(k):
-            gen = {1 << bit: Fraction(1)}
-            ab = _derive(model, a, _derive(model, b, gen))
-            ba = _derive(model, b, _derive(model, a, gen))
-            if element_add(model.field, ab, element_scale(model.field, Fraction(-1), ba)):
+            ab = _derive(model, a, model.images[b][1 << bit])
+            ba = _derive(model, b, model.images[a][1 << bit])
+            if ab != ba:
                 raise ModelError("the two tables do not commute")
     return model
 
@@ -171,38 +214,49 @@ def build_model(
 def evaluate(term: Term, model: Model, assignment: dict[str, Element]) -> Element:
     """Numeric value of a term: assignments for the generators, tables
     for the stacks, wedge for the products.  Overlap annotations carry
-    no numeric content and are ignored."""
-    total: Element = {}
+    no numeric content and are ignored.
+
+    Each (generator, stack) value is computed once per call.  A monomial
+    stops multiplying once its product is zero, but its remaining
+    factors still need a value and a table, as does its coefficient a
+    value in the field."""
+    field_name = model.field
+    values: dict[tuple, Element] = {}
+    acc: dict[int, Coefficient] = {}
     for mono, coeff in term:
-        value = dict(ONE)
+        product: Element = {0: 1}
         for factor in mono.factors:
-            name = factor.generator.name
-            if name not in assignment:
-                raise AssignmentError(f"no value assigned to {name}")
-            v = assignment[name]
-            for kind in factor.diffs:
-                v = _derive(model, kind, v)
-            value = wedge(model.field, value, v)
-        total = element_add(model.field, total, element_scale(model.field, coeff, value))
-    return total
+            key = (factor.generator.name, factor.diffs)
+            v = values.get(key)
+            if v is None:
+                if key[0] not in assignment:
+                    raise AssignmentError(f"no value assigned to {key[0]}")
+                v = assignment[key[0]]
+                for kind in factor.diffs:
+                    v = _derive(model, kind, v)
+                values[key] = v
+            if product:
+                product = wedge(field_name, product, v)
+        c = _coeff(field_name, coeff)
+        if c:
+            for m, v in product.items():
+                acc[m] = acc.get(m, 0) + c * v
+    return _reduced(field_name, acc)
 
 
 def check_identity(
     lhs: Term, rhs: Term, model: Model, assignment: dict[str, Element]
 ) -> bool:
-    left = evaluate(lhs, model, assignment)
-    right = evaluate(rhs, model, assignment)
-    return element_add(model.field, left, element_scale(model.field, Fraction(-1), right)) == {}
+    return evaluate(lhs, model, assignment) == evaluate(rhs, model, assignment)
 
 
 def random_element(
     model: Model, rng: random.Random, parity: int | None = None
 ) -> Element:
+    low, high = (0, 1) if model.field == "gf2" else (-3, 3)
     out: Element = {}
-    for mask in model.basis:
-        if parity is not None and _popcount(mask) % 2 != parity % 2:
-            continue
-        c = Fraction(rng.randint(0, 1)) if model.field == "gf2" else Fraction(rng.randint(-3, 3))
+    for mask in model.masks[None if parity is None else parity % 2]:
+        c = rng.randint(low, high)
         if c:
             out[mask] = c
     return out
@@ -210,17 +264,23 @@ def random_element(
 
 def kernel_basis(model: Model, kind: DiffKind, parity: int | None = None) -> list[Element]:
     """Basis of the kernel of one extended derivation, by Gaussian
-    elimination over the model's field."""
-    cols = [
-        m for m in model.basis
-        if parity is None or _popcount(m) % 2 == parity % 2
-    ]
-    images = [_derive(model, kind, {m: Fraction(1)}) for m in cols]
+    elimination over the model's field.  Solved once per (kind, parity)
+    on the model; every call gets fresh copies."""
+    key = (kind, None if parity is None else parity % 2)
+    basis = model.kernels.get(key)
+    if basis is None:
+        basis = model.kernels[key] = _solve_kernel(model, kind, key[1])
+    return [dict(vec) for vec in basis]
+
+
+def _solve_kernel(model: Model, kind: DiffKind, parity: int | None) -> list[Element]:
+    cols = model.masks[parity]
+    images = [_derive(model, kind, {m: 1}) for m in cols]
     rows = sorted({mask for img in images for mask in img})
-    matrix = [[img.get(r, Fraction(0)) for img in images] for r in rows]
+    matrix = [[img.get(r, 0) for img in images] for r in rows]
     n_rows, n_cols = len(matrix), len(cols)
 
-    def reduce_mod(v: Fraction) -> Fraction:
+    def reduce_mod(v: Coefficient) -> Coefficient:
         return _coeff(model.field, v)
 
     pivot_cols: list[int] = []
@@ -230,7 +290,7 @@ def kernel_basis(model: Model, kind: DiffKind, parity: int | None = None) -> lis
         if pivot is None:
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = 1 / matrix[r][c]
+        inv = Fraction(1, matrix[r][c])
         matrix[r] = [reduce_mod(x * inv) for x in matrix[r]]
         for i in range(n_rows):
             if i != r and reduce_mod(matrix[i][c]):
@@ -245,7 +305,7 @@ def kernel_basis(model: Model, kind: DiffKind, parity: int | None = None) -> lis
     for free in range(n_cols):
         if free in pivot_set:
             continue
-        vec = {cols[free]: Fraction(1)}
+        vec = {cols[free]: 1}
         for row_idx, pc in enumerate(pivot_cols):
             coeff = reduce_mod(-matrix[row_idx][free])
             if coeff:
@@ -262,24 +322,25 @@ def random_kernel_element(
 
 def random_in_span(model: Model, basis: list[Element], rng: random.Random) -> Element:
     """Random combination of basis vectors with small coefficients."""
-    out: Element = {}
+    low, high = (0, 1) if model.field == "gf2" else (-2, 2)
+    acc: dict[int, Coefficient] = {}
     for vec in basis:
-        c = Fraction(rng.randint(0, 1)) if model.field == "gf2" else Fraction(rng.randint(-2, 2))
+        c = rng.randint(low, high)
         if c:
-            out = element_add(model.field, out, element_scale(model.field, c, vec))
-    return out
+            for m, v in vec.items():
+                acc[m] = acc.get(m, 0) + c * v
+    return _reduced(model.field, acc)
 
 
 def corner_model() -> Model:
     """Two commuting square-zero tables over the two-element field whose
     composite is nonzero on the first generator."""
-    one = Fraction(1)
     return build_model(
         4,
         "gf2",
         {
-            DiffKind.delta: {1: {2: one}, 4: {8: one}},
-            DiffKind.Delta: {1: {4: one}, 2: {8: one}},
+            DiffKind.delta: {1: {2: 1}, 4: {8: 1}},
+            DiffKind.Delta: {1: {4: 1}, 2: {8: 1}},
         },
     )
 
@@ -287,9 +348,4 @@ def corner_model() -> Model:
 def raising_model() -> Model:
     """Single rational table with a one-dimensional image, so any two
     elements with equal image wedge the image to zero."""
-    one = Fraction(1)
-    return build_model(
-        4,
-        "q",
-        {DiffKind.delta: {1: {6: one}, 8: {6: one}}},
-    )
+    return build_model(4, "q", {DiffKind.delta: {1: {6: 1}, 8: {6: 1}}})

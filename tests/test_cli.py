@@ -63,8 +63,17 @@ def test_derive_json_output(capsys):
 
 
 def test_derive_rejects_bad_pattern(capsys):
-    assert main(["derive", "--start", "(X0)"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # a pattern is bare or inside exactly one pair of parentheses
+    for pattern in ["(X0)", "(00", ")00(", "((00))", "00)", "()"]:
+        assert main(["derive", "--start", pattern]) == 2, pattern
+        assert "error: invalid choice pattern" in capsys.readouterr().err
+
+
+def test_derive_accepts_bare_and_parenthesised_pattern(capsys):
+    assert main(["derive", "--start", "00"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["derive", "--start", "(00)"]) == 0
+    assert capsys.readouterr().out == bare
 
 
 def test_derive_rejects_depth_zero(capsys):

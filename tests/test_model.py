@@ -25,6 +25,7 @@ from gda import (
     random_kernel_element,
     wedge,
 )
+from gda.model import random_in_span
 
 D = DiffKind.delta
 DD = DiffKind.Delta
@@ -67,19 +68,98 @@ def test_derive_element_follows_table():
     }
 
 
+def _combine(field_name, *signed):
+    # sum of (sign, element) pairs in the field, zero entries dropped
+    total = {}
+    for sign, element in signed:
+        for bits, c in element.items():
+            total[bits] = total.get(bits, 0) + sign * c
+    if field_name == "gf2":
+        return {bits: 1 for bits, c in total.items() if Fraction(c).numerator % 2}
+    return {bits: c for bits, c in total.items() if c}
+
+
 def test_derive_element_is_an_odd_derivation():
-    # graded rule: the second summand picks up the parity of the first slot
+    # graded rule d(a b) = da b + (-1)^|a| a db, with no sign over gf2,
+    # and d(d(a b)) = 0, over random homogeneous a and b
+    rng = random.Random(5)
+    nonzero = 0
+    for m in (corner_model(), raising_model()):
+        for kind in m.tables:
+            for _ in range(40):
+                pa, pb = rng.randint(0, 1), rng.randint(0, 1)
+                a, b = random_element(m, rng, pa), random_element(m, rng, pb)
+                ab = wedge(m.field, a, b)
+                left = derive_element(m, kind, ab)
+                sign = -1 if m.field == "q" and pa else 1
+                right = _combine(
+                    m.field,
+                    (1, wedge(m.field, derive_element(m, kind, a), b)),
+                    (sign, wedge(m.field, a, derive_element(m, kind, b))),
+                )
+                assert left == right, (kind, a, b)
+                assert derive_element(m, kind, left) == {}
+                nonzero += bool(left)
+    assert nonzero > 40
+
+
+def _weighted_model():
+    # pivots of 2 and 3, so kernel vectors carry a non-integral coefficient
+    return build_model(4, "q", {D: {1: {6: 2}, 8: {6: 3}}})
+
+
+@pytest.mark.parametrize("make", [corner_model, raising_model, _weighted_model])
+def test_model_values_are_exact(make):
+    m = make()
+    rng = random.Random(17)
+    reg = SymbolRegistry()
+    a = reg.declare("a", Index(1, 0, 0))
+    b = reg.declare("b", Index(0, 1, 0))
+    stacks = [()] + [(kind,) for kind in m.tables]
+    seen = []
+    for parity in (None, 0, 1):
+        for kind in m.tables:
+            basis = kernel_basis(m, kind, parity)
+            seen += basis
+            seen.append(random_in_span(m, basis, rng))
+            seen.append(random_kernel_element(m, kind, rng, parity))
+    for _ in range(30):
+        x, y = random_element(m, rng), random_element(m, rng, rng.randint(0, 1))
+        seen += [x, y, wedge(m.field, x, y)]
+        seen += [derive_element(m, kind, x) for kind in m.tables]
+        coeff = Fraction(rng.choice([1, -2, 3])) if m.field == "gf2" else Fraction(rng.randint(-3, 3), 2)
+        term = Term.from_monomial(
+            Monomial((Factor(a, rng.choice(stacks)), Factor(b, rng.choice(stacks)))), coeff
+        )
+        seen.append(evaluate(term, m, {"a": x, "b": y}))
+    values = [c for element in seen for c in element.values()]
+    assert values
+    assert all(type(c) in (int, Fraction) for c in values), {type(c) for c in values}
+    if m.field == "gf2":
+        assert set(values) == {1}
+    if make is _weighted_model:
+        assert any(type(c) is Fraction for c in values)
+
+
+def test_evaluate_rejects_half_coefficient_over_gf2():
+    m = corner_model()
+    reg = SymbolRegistry()
+    a = reg.declare("a", Index(1, 0, 0))
+    term = Term.from_factor(Factor(a), Fraction(1, 2))
+    with pytest.raises(ModelError, match="even denominator"):
+        evaluate(term, m, {"a": {1: 1}})
+    # the coefficient is checked even when the monomial's value is zero
+    with pytest.raises(ModelError, match="even denominator"):
+        evaluate(term, m, {"a": {}})
+
+
+def test_kernel_basis_returns_fresh_copies():
     m = raising_model()
-    a = {1: Fraction(1)}
-    b = {8: Fraction(1)}
-    left = derive_element(m, D, wedge("q", a, b))
-    right_a = wedge("q", derive_element(m, D, a), b)
-    right_b = wedge("q", a, derive_element(m, D, b))
-    total = dict(right_a)
-    for bits, c in right_b.items():
-        total[bits] = total.get(bits, Fraction(0)) - c
-    total = {bits: c for bits, c in total.items() if c}
-    assert left == total
+    first = kernel_basis(m, D, 1)
+    expected = [dict(v) for v in first]
+    first[0][1] = 99
+    first.append({2: 1})
+    assert kernel_basis(m, D, 1) == expected
 
 
 def test_build_model_rejects_parity_lowering_q_table():
@@ -128,6 +208,11 @@ def test_evaluate_requires_assignment_and_table():
         evaluate(Term.from_factor(Factor(a)), m, {})
     with pytest.raises(ModelError):
         evaluate(Term.from_factor(Factor(a, (DD,))), m, {"a": {1: Fraction(1)}})
+
+
+def test_derive_element_rejects_masks_outside_the_algebra():
+    with pytest.raises(ModelError, match="mask 16 outside the algebra"):
+        derive_element(corner_model(), D, {16: 1})
 
 
 def test_kernel_basis_is_killed_by_the_differential():
