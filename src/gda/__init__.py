@@ -19,7 +19,6 @@ from .conditions import (
     render_tree,
     signature_label,
     standard_start,
-    symmetrize,
     tree_to_json,
 )
 from .differentials import (
@@ -46,7 +45,6 @@ from .ideals import FactorizationResult, IdealKind, IdealRegistry, factorization
 from .model import (
     Model,
     build_model,
-    check_identity,
     corner_model,
     derive_element,
     evaluate,
@@ -77,7 +75,6 @@ from .terms import (
     SymbolRegistry,
     Term,
     add,
-    make_generator,
     multiply,
     normalize,
     render_equation,
@@ -86,7 +83,6 @@ from .terms import (
 )
 from .verifier import (
     ClosureHypothesis,
-    Completion,
     TraceStep,
     ClosureSet,
     VerificationReport,
@@ -95,9 +91,7 @@ from .verifier import (
     build_class,
     build_closure_set,
     cancel_hypotheses,
-    check_closed,
     class_layout,
-    make_completion,
     reduce_modulo,
     verify_cocycle,
     verify_independence,

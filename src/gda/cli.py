@@ -12,7 +12,7 @@ import random
 import sys
 
 from .conditions import derive_tree, render_tree, standard_start, tree_to_json
-from .differentials import SignMode, apply_differential
+from .differentials import EpsilonMode, SignMode, apply_differential
 from .dsl import Session, load_session, parse_file, print_session
 from .errors import GdaError, GdaSyntaxError, ModelError
 from .model import (
@@ -33,14 +33,15 @@ from .terms import (
     Term,
     render_term,
 )
-from .verifier import VerificationReport, verify_cocycle, verify_independence
+from .verifier import VerificationReport, XiMode, verify_cocycle, verify_independence
 
 # session flags, each the command-line form of the `set` line with its key
 _SESSION_FLAGS = {
-    "sign-mode": ["paper", "koszul"],
-    "epsilon-mode": ["pair", "drop"],
-    "xi-mode": ["sum", "pairs"],
-    "d": ["delta", "Delta"],
+    key: [member.value for member in values]
+    for key, values in (
+        ("sign-mode", SignMode), ("epsilon-mode", EpsilonMode),
+        ("xi-mode", XiMode), ("d", DiffKind),
+    )
 }
 
 

@@ -96,7 +96,6 @@ def make_condition(
     J: ChoiceVector,
     gamma: Term | None,
     phis: list[Term],
-    overlaps: list[tuple[int, int]] | None = None,
     d: DiffKind = DiffKind.delta,
     sign: SignMode = SignMode.paper_literal,
     laws: DiffLaws = DEFAULT_LAWS,
@@ -109,7 +108,7 @@ def make_condition(
     ]
     rhs = Term.zero()
     if all(not p.is_zero for p in parts):
-        rhs = multiply(parts, overlaps)
+        rhs = multiply(parts)
     if gamma is None:
         lhs = Term.zero()
         expected = ZERO_INDEX
@@ -120,24 +119,6 @@ def make_condition(
             raise CoherenceViolation("condition left side must be homogeneous")
         expected = idx.shifted(d)
     return Condition(J.label, lhs, rhs, expected)
-
-
-def symmetrize(
-    family: list[tuple[ChoiceVector, Term | None, list[Term]]],
-    d: DiffKind = DiffKind.delta,
-    sign: SignMode = SignMode.paper_literal,
-    laws: DiffLaws = DEFAULT_LAWS,
-) -> list[Condition]:
-    """Set of conditions over all listed choices, duplicates merged by
-    canonical equation."""
-    out: list[Condition] = []
-    seen: set[str] = set()
-    for J, gamma, phis in family:
-        cond = make_condition(J, gamma, phis, d=d, sign=sign, laws=laws)
-        if cond.equation not in seen:
-            seen.add(cond.equation)
-            out.append(cond)
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,13 +241,6 @@ class DerivationTree:
     d: DiffKind
     nodes: list[TreeNode] = field(default_factory=list)
     families: list[PeriodicFamily] = field(default_factory=list)
-
-    @property
-    def root(self) -> TreeNode | None:
-        return self.nodes[0] if self.nodes else None
-
-    def equations(self) -> list[str]:
-        return [n.condition.equation for n in self.nodes]
 
 
 def _seen_key(cond: Condition) -> tuple:

@@ -29,13 +29,11 @@ from .terms import (
     normalize,
 )
 from .verifier import (
-    Completion,
     ClosureSet,
     VerifierSetup,
     XiMode,
     build_class,
     build_closure_set,
-    make_completion,
 )
 
 _IDEAL_KINDS = ("nonlocal2", "local2", "square2")
@@ -420,7 +418,21 @@ def parse_text(text: str, filename: str = "<input>") -> list[Statement]:
 
 def parse_file(path: str | Path) -> list[Statement]:
     path = Path(path)
-    return parse_text(path.read_text(encoding="utf-8"), str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        before = _universal_newlines(data[: err.start].decode("utf-8"))
+        raise GdaSyntaxError(
+            f"invalid UTF-8 byte {data[err.start]:#04x}",
+            before.count("\n") + 1, len(before) - before.rfind("\n"), str(path),
+        ) from None
+    return parse_text(_universal_newlines(text), str(path))
+
+
+def _universal_newlines(text: str) -> str:
+    # what reading the file in text mode gives
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # --- session building -------------------------------------------------
@@ -430,7 +442,6 @@ class Session:
     registry: SymbolRegistry
     ideals: IdealRegistry
     conditions: list[Condition]
-    completions: dict[str, Completion]
     hypothesis_decls: dict[str, tuple[str, str, tuple[str, ...]]]
     class_decls: dict[str, tuple[str, tuple[str, ...]]]
     setup: VerifierSetup
@@ -496,7 +507,7 @@ def build_session(
     literal_m = False
     bounds = IndexBounds()
     conditions: list[Condition] = []
-    completions: dict[str, Completion] = {}
+    completions: set[str] = set()
     hyps: dict[str, tuple[str, str, tuple[str, ...]]] = {}
     classes: dict[str, tuple[str, tuple[str, ...]]] = {}
 
@@ -589,12 +600,17 @@ def build_session(
                 check_coherence(cond, literal_m)
                 conditions.append(cond)
             elif isinstance(st, CompletionStatement):
+                # checked only: no command reads a completion
                 if st.name in completions:
                     raise fail(f"completion {st.name!r} already defined")
-                completions[st.name] = make_completion(
-                    [Factor(registry.get(n)) for n in st.phis],
-                    [Factor(registry.get(n)) for n in st.Phis],
-                )
+                for n in (*st.phis, *st.Phis):
+                    registry.get(n)
+                if len(st.Phis) != len(st.phis) + 1:
+                    raise fail(
+                        f"{len(st.phis)} picked elements need {len(st.phis) + 1}"
+                        f" completion factors, got {len(st.Phis)}"
+                    )
+                completions.add(st.name)
             elif isinstance(st, HypothesesStatement):
                 if st.name in hyps:
                     raise fail(f"closure set {st.name!r} already defined")
@@ -619,7 +635,7 @@ def build_session(
             raise fail(str(err)) from err
 
     return Session(
-        registry, ideals, conditions, completions, hyps, classes,
+        registry, ideals, conditions, hyps, classes,
         setup, bounds, literal_m, list(statements), filename,
     )
 

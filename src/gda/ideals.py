@@ -48,9 +48,6 @@ class IdealRegistry:
         canon = Factor(pattern.generator, canonical_stack(pattern.diffs, laws))
         self._members[IdealKind(kind)][canon] = None
 
-    def members(self, kind: IdealKind) -> list[Factor]:
-        return list(self._members[IdealKind(kind)])
-
     def is_member(self, kind: IdealKind, factor: Factor) -> bool:
         return factor in self._members[IdealKind(kind)]
 
@@ -70,10 +67,6 @@ class IdealRegistry:
             if a == b and self.is_member(IdealKind.square2, a):
                 return "ideal:square2"
         return None
-
-    def reduce(self, term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
-        reduced, _ = self.reduce_with_trace(term, laws)
-        return reduced
 
     def reduce_with_trace(
         self, term: Term, laws: DiffLaws = DEFAULT_LAWS

@@ -168,7 +168,6 @@ def build_model(
     k: int,
     field_name: str,
     tables: dict[DiffKind, dict[int, Element]],
-    require_commute: bool = True,
 ) -> Model:
     """Validate and freeze a model.
 
@@ -201,7 +200,7 @@ def build_model(
         for bit in table:
             if _derive(model, kind, model.images[kind][bit]):
                 raise ModelError(f"{kind.token} does not square to zero on generator {bit.bit_length()}")
-    if require_commute and len(model.tables) == 2:
+    if len(model.tables) == 2:
         a, b = sorted(model.tables, key=lambda kk: kk.value)
         for bit in range(k):
             ab = _derive(model, a, model.images[b][1 << bit])
@@ -242,12 +241,6 @@ def evaluate(term: Term, model: Model, assignment: dict[str, Element]) -> Elemen
             for m, v in product.items():
                 acc[m] = acc.get(m, 0) + c * v
     return _reduced(field_name, acc)
-
-
-def check_identity(
-    lhs: Term, rhs: Term, model: Model, assignment: dict[str, Element]
-) -> bool:
-    return evaluate(lhs, model, assignment) == evaluate(rhs, model, assignment)
 
 
 def random_element(

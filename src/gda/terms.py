@@ -177,9 +177,7 @@ class Factor:
 
 
 def coherent_index(
-    entries: Sequence[tuple[Index, int, int]],
-    literal_m: bool = False,
-    bounds: IndexBounds | None = None,
+    entries: Sequence[tuple[Index, int, int]], literal_m: bool = False
 ) -> Index:
     """Resulting index of a product given (index, r, t) per factor.
 
@@ -194,10 +192,7 @@ def coherent_index(
         n += idx.n - r
         m += (idx.n if literal_m else idx.m) - t
         kappa += idx.kappa
-    result = Index(n, m, kappa)
-    if bounds is not None:
-        bounds.check(result, "product index")
-    return result
+    return Index(n, m, kappa)
 
 
 @dataclass(frozen=True)
@@ -219,11 +214,10 @@ class Monomial:
     def arity(self) -> int:
         return len(self.factors)
 
-    def index(self, literal_m: bool = False, bounds: IndexBounds | None = None) -> Index:
+    def index(self, literal_m: bool = False) -> Index:
         return coherent_index(
             [(f.effective_index, r, t) for f, (r, t) in zip(self.factors, self.overlaps)],
             literal_m=literal_m,
-            bounds=bounds,
         )
 
     def signature(self) -> str:
@@ -296,10 +290,6 @@ class Term:
     def indices(self, literal_m: bool = False) -> set[Index]:
         return {m.index(literal_m=literal_m) for m in self._summands}
 
-    @property
-    def homogeneous(self) -> bool:
-        return len(self.indices()) <= 1
-
     def index(self) -> Index | None:
         """The common index of all monomials; None for zero or mixed terms."""
         idxs = self.indices()
@@ -357,31 +347,15 @@ def scale(coeff: Fraction | int, term: Term) -> Term:
     return term * Fraction(coeff)
 
 
-def multiply(
-    terms: Sequence[Term],
-    overlaps: Sequence[tuple[int, int]] | None = None,
-) -> Term:
-    """Ordered product of terms, fully distributed.
-
-    overlaps, when given, declares one (r, t) pair per input term; the
-    pair is attached to the first factor that input contributes, which
-    keeps the total coherent sums right.
-    """
-    if overlaps is not None and len(overlaps) != len(terms):
-        raise ArityError(f"{len(overlaps)} overlap pairs for {len(terms)} inputs")
+def multiply(terms: Sequence[Term]) -> Term:
+    """Ordered product of terms, fully distributed; each factor keeps
+    the overlap pair its monomial carries."""
     result: dict[Monomial, Fraction] = {EMPTY_MONOMIAL: Fraction(1)}
-    for pos, term in enumerate(terms):
-        extra = overlaps[pos] if overlaps is not None else (0, 0)
+    for term in terms:
         step: dict[Monomial, Fraction] = {}
         for acc_mono, acc_coeff in result.items():
             for mono, coeff in term._summands.items():
-                olap = mono.overlaps
-                if extra != (0, 0):
-                    if not mono.factors:
-                        raise CoherenceViolation("overlap declared on an empty element")
-                    r0, t0 = olap[0]
-                    olap = ((r0 + extra[0], t0 + extra[1]),) + olap[1:]
-                joined = Monomial(acc_mono.factors + mono.factors, acc_mono.overlaps + olap)
+                joined = Monomial(acc_mono.factors + mono.factors, acc_mono.overlaps + mono.overlaps)
                 step[joined] = step.get(joined, Fraction(0)) + acc_coeff * coeff
         result = step
         if not result:
@@ -477,10 +451,10 @@ class SymbolRegistry:
         self._symbols[name] = sym
         return sym
 
-    def fresh(self, index: Index, role: str = "plain", flags: Iterable[str] = ()) -> GeneratorSymbol:
+    def fresh(self, index: Index) -> GeneratorSymbol:
         self._fresh_count += 1
         name = f"{FRESH_PREFIX}{self._fresh_count}"
-        sym = GeneratorSymbol(name, index, frozenset(flags), role, fresh=True)
+        sym = GeneratorSymbol(name, index, fresh=True)
         self._symbols[name] = sym
         return sym
 
@@ -490,20 +464,6 @@ class SymbolRegistry:
         except KeyError:
             raise NameClash(f"unknown generator {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._symbols
-
     def names(self) -> list[str]:
         return sorted(self._symbols)
 
-
-def make_generator(
-    registry: SymbolRegistry,
-    name: str,
-    index: Index,
-    flags: Iterable[str] = (),
-    role: str = "plain",
-) -> Term:
-    """Declare a generator and hand back the corresponding one-factor term."""
-    sym = registry.declare(name, index, flags, role)
-    return Term.from_factor(Factor(sym))

@@ -1,4 +1,4 @@
-"""Completions, closure hypothesis sets, and the invariant-class checks.
+"""Class layouts, closure hypothesis sets, and the invariant-class checks.
 
 The class expression interleaves four auxiliary completion factors with
 three content slots built from one picked element: the twice
@@ -92,56 +92,6 @@ class VerificationReport:
         }
 
 
-# --- completions ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Completion:
-    """Alternating layout of auxiliary factors around picked elements."""
-
-    picked: tuple[Factor, ...]
-    completions: tuple[Factor, ...]
-
-    def layout(self) -> Monomial:
-        factors: list[Factor] = []
-        for i, comp in enumerate(self.completions):
-            factors.append(comp)
-            if i < len(self.picked):
-                factors.append(self.picked[i])
-        return Monomial(tuple(factors))
-
-    def completion_slots(self) -> tuple[int, ...]:
-        # completion j sits before picked j: positions 1, 3, 5, ...
-        return tuple(range(1, 2 * len(self.completions), 2))
-
-
-def make_completion(phis: list[Factor], Phis: list[Factor]) -> Completion:
-    if len(Phis) != len(phis) + 1:
-        raise LayoutError(
-            f"{len(phis)} picked elements need {len(phis) + 1} completion"
-            f" factors, got {len(Phis)}"
-        )
-    return Completion(tuple(phis), tuple(Phis))
-
-
-def check_closed(
-    c: Completion,
-    setup: VerifierSetup,
-    ideals: IdealRegistry | None = None,
-) -> VerificationReport:
-    """Expand the completion-slot differential sum and reduce; residual
-    zero means the completion is closed outright."""
-    term = Term.from_monomial(c.layout())
-    expanded = apply_differential(
-        setup.d, term, setup.sign, setup.laws, c.completion_slots()
-    )
-    trace: list[TraceStep] = []
-    if ideals is not None:
-        expanded, deleted = ideals.reduce_with_trace(expanded, setup.laws)
-        trace = [TraceStep(reason, str(m), "0") for reason, m in deleted]
-    status = "ok" if expanded.is_zero else "fail"
-    return VerificationReport("closed", status, expanded, trace)
-
-
 # --- class layout -----------------------------------------------------
 
 def _content_arity(term: Term) -> int:
@@ -222,11 +172,6 @@ class ClosureHypothesis:
 
 @dataclass
 class ClosureSet:
-    phi: Factor
-    psi: Factor
-    completions: tuple[Factor, ...]
-    xi_mode: XiMode
-    setup: VerifierSetup
     conditions: list[ClosureHypothesis] = field(default_factory=list)
 
     def find(self, assignment: tuple[str, str, str], slot1_level: int) -> ClosureHypothesis | None:
@@ -237,7 +182,7 @@ class ClosureSet:
 
     def without(self, tag: str) -> "ClosureSet":
         kept = [h for h in self.conditions if h.tag != tag]
-        return ClosureSet(self.phi, self.psi, self.completions, self.xi_mode, self.setup, kept)
+        return ClosureSet(kept)
 
 
 def build_closure_set(
@@ -275,7 +220,7 @@ def build_closure_set(
             (f"{phi.generator.name}*{psi.generator.name}", multiply([phi_t, psi_t])),
             (f"{psi.generator.name}*{psi.generator.name}", multiply([psi_t, psi_t])),
         ]
-    closure_set = ClosureSet(phi, psi, completions, setup.xi_mode, setup)
+    closure_set = ClosureSet()
     for (n1, t1), (n2, t2), (n3, t3) in product(options, repeat=3):
         for level in (0, 1):
             c1, c2, c3 = _content_terms(setup, t1, t2, t3, level)
@@ -399,12 +344,8 @@ def verify_independence(
     class_sum = build_class(add(phi_t, eta_t), completions, setup)
     diff = class_sum - class_phi
 
-    _, slots = class_layout(
-        setup,
-        completions,
-        *_content_terms(setup, phi_t, phi_t, phi_t, 1),
-    )
-    content_positions = [p for p in range(1, 8) if p not in slots]
+    # the paired layout of single-factor contents puts them at 2, 4, 6
+    content_positions = (2, 4, 6)
 
     trace: list[TraceStep] = []
     primitive = Term.zero()

@@ -297,3 +297,22 @@ def test_set_depth_in_a_session_exits_2(tmp_path, capsys):
     session.write_text("set depth 4;\n")
     assert main(["check", str(session)]) == 2
     assert "depth.gda:1:1: error: unknown setting 'depth'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "print"])
+def test_non_utf8_session_exits_2_at_the_byte(command, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.gda").write_bytes(b"gen a index (1,0,0);\n\xff\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "bad.gda"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad.gda:2:1: error:")
+    assert "Traceback" not in err
+
+
+def test_schema_lists_only_the_claims_the_cli_emits(capsys):
+    schema = json.loads((ROOT / "src" / "gda" / "schemas" / "report.schema.json").read_text())
+    claims = set()
+    for command, extra in SESSION_COMMANDS.items():
+        main([command, CLASS_FILE, *extra, "--report", "json"])
+        claims.add(json.loads(capsys.readouterr().out)["claim"])
+    assert claims == set(schema["properties"]["claim"]["enum"])

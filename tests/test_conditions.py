@@ -19,7 +19,6 @@ from gda import (
     render_tree,
     signature_label,
     standard_start,
-    symmetrize,
     tree_to_json,
 )
 
@@ -82,19 +81,6 @@ def test_make_condition_rejects_arity_mismatch():
         make_condition(ChoiceVector.from_label("(00)"), None, [a])
 
 
-def test_symmetrize_merges_duplicate_equations():
-    reg = SymbolRegistry()
-    a = gen_term(reg, "a", 1, 0)
-    b = gen_term(reg, "b", -1, 0)
-    fam = [
-        (ChoiceVector.from_label("(00)"), None, [a, b]),
-        (ChoiceVector.from_label("(00)"), None, [a, b]),
-        (ChoiceVector.from_label("(I0)"), None, [a, b]),
-    ]
-    conds = symmetrize(fam)
-    assert [c.label for c in conds] == ["(00)", "(I0)"]
-
-
 def test_coherence_passes_on_consistent_condition():
     reg = SymbolRegistry()
     a = gen_term(reg, "a", 1, 0)
@@ -144,7 +130,7 @@ def test_derive_tree_basics():
     reg = SymbolRegistry()
     start = standard_start("(00)", reg)
     tree = derive_tree(start, depth=8, registry=reg)
-    assert tree.root.condition.equation == "0 = (Phi', Phi)"
+    assert tree.nodes[0].condition.equation == "0 = (Phi', Phi)"
     assert all(node.depth <= 8 for node in tree.nodes)
     edges = {node.edge for node in tree.nodes}
     assert "d" in edges and "start" in edges

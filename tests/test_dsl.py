@@ -199,6 +199,24 @@ def test_duplicate_class_names_rejected():
         build(text)
 
 
+def test_completion_statement_is_checked_at_build():
+    base = "gen phi index (1,1,0);\ngen P1 index (0,2,0);\ngen P2 index (2,0,1);\n"
+    with pytest.raises(GdaSyntaxError, match="unknown generator 'Q'"):
+        build(base + "completion C := complete(phi; P1, Q);")
+    with pytest.raises(GdaSyntaxError) as err:
+        build(base + "  completion C := complete(phi; P1);")
+    assert str(err.value) == (
+        "<input>:4:3: error: 1 picked elements need 2 completion factors, got 1"
+    )
+    with pytest.raises(GdaSyntaxError, match="completion 'C' already defined"):
+        build(base + "completion C := complete(phi; P1, P2);\n"
+              "completion C := complete(phi; P2, P1);")
+    text = base + "completion C := complete(phi; P1, P2);\n"
+    stmts = parse_text(text)
+    assert print_session(stmts) == text
+    assert build_session(stmts).statements == stmts
+
+
 def test_session_closure_default_requires_single_declaration():
     s = build("gen a index (1,1,0);")
     with pytest.raises(HypothesisError):

@@ -15,7 +15,6 @@ from gda import (
     Term,
     apply_differential,
     build_model,
-    check_identity,
     corner_model,
     derive_element,
     evaluate,
@@ -251,4 +250,3 @@ def test_check_identity_and_product_rule_in_model():
     lhs_val = evaluate(symbolic, m, assignment)
     rhs_val = derive_element(m, D, evaluate(term, m, assignment))
     assert lhs_val == rhs_val
-    assert check_identity(symbolic, symbolic, m, assignment)

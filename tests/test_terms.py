@@ -18,7 +18,6 @@ from gda import (
     ZERO_INDEX,
     add,
     classify_push,
-    make_generator,
     multiply,
     normalize,
     render_equation,
@@ -62,8 +61,8 @@ def test_registry_declare_and_clash(reg):
 
 
 def test_registry_fresh_names_are_sequential(reg):
-    first = reg.fresh(Index(0, 0, 0), "plain", ())
-    second = reg.fresh(Index(0, 0, 0), "plain", ())
+    first = reg.fresh(Index(0, 0, 0))
+    second = reg.fresh(Index(0, 0, 0))
     assert first.name == "_f1"
     assert second.name == "_f2"
     assert first.fresh and second.fresh
@@ -158,10 +157,10 @@ def test_scale_keeps_fractions_exact(reg):
 def test_multiply_concatenates_with_overlaps(reg):
     a = reg.declare("a", Index(1, 0, 0))
     b = reg.declare("b", Index(0, 1, 0))
-    prod = multiply(
-        [Term.from_factor(Factor(a)), Term.from_factor(Factor(b))],
-        [(0, 0), (1, 1)],
-    )
+    prod = multiply([
+        Term.from_factor(Factor(a)),
+        Term.from_monomial(Monomial((Factor(b),), ((1, 1),))),
+    ])
     (mono, coeff), = prod.items()
     assert coeff == 1
     assert mono.overlaps == ((0, 0), (1, 1))
@@ -196,9 +195,3 @@ def test_render_equation(reg):
     t = Term.from_factor(Factor(a))
     assert render_equation(Term.zero(), t) == "0 = (a)"
 
-
-def test_make_generator_returns_singleton_term(reg):
-    t = make_generator(reg, "g", Index(2, 0, 1))
-    assert isinstance(t, Term)
-    assert t.index() == Index(2, 0, 1)
-    assert reg.get("g").index == Index(2, 0, 1)

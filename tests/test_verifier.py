@@ -2,7 +2,6 @@
 import pytest
 
 from gda import (
-    Completion,
     DiffKind,
     EpsilonMode,
     Factor,
@@ -10,7 +9,6 @@ from gda import (
     IdealKind,
     IdealRegistry,
     Index,
-    LayoutError,
     SymbolRegistry,
     Term,
     VerifierSetup,
@@ -20,8 +18,6 @@ from gda import (
     build_class,
     build_closure_set,
     cancel_hypotheses,
-    check_closed,
-    make_completion,
     reduce_modulo,
     render_term,
     scale,
@@ -64,21 +60,6 @@ def test_setup_dbar_is_the_other_kind():
     assert setup.dbar is DiffKind.Delta
 
 
-def test_make_completion_checks_arity():
-    reg, phi, eta, comps, ideals, setup = standard_context()
-    c = make_completion([phi], [comps[0], comps[1]])
-    assert c.completion_slots() == (1, 3)
-    with pytest.raises(LayoutError):
-        make_completion([phi, eta], [comps[0], comps[1]])
-
-
-def test_completion_layout_interleaves():
-    reg, phi, eta, comps, ideals, setup = standard_context()
-    c = make_completion([phi], [comps[0], comps[1]])
-    names = [f.generator.name for f in c.layout().factors]
-    assert names == ["Phi1", "phi", "Phi2"]
-
-
 def test_build_class_pair_mode():
     reg, phi, eta, comps, ideals, setup = standard_context()
     term = build_class(phi, comps, setup)
@@ -107,26 +88,6 @@ def test_slot_diff_sum_hits_only_named_slots():
         names = [f.generator.name for f in mono.factors]
         assert names[1] == "phi" or names[1].startswith("Phi")
     assert len(out.monomials()) == 2
-
-
-def test_check_closed_reports_ok_for_closed_flags():
-    reg = SymbolRegistry()
-    setup = VerifierSetup()
-    phi = Factor(reg.declare("phi", Index(1, 1, 0)))
-    good = [
-        Factor(reg.declare(f"C{i}", Index(i, 0, 0), ("dclosed", "Dclosed")))
-        for i in range(2)
-    ]
-    report = check_closed(make_completion([phi], good), setup)
-    assert report.ok and report.claim == "closed"
-
-
-def test_check_closed_fails_on_open_completion():
-    reg, phi, eta, comps, ideals, setup = standard_context()
-    report = check_closed(make_completion([phi], [comps[0], comps[1]]), setup)
-    assert not report.ok
-    assert report.status == "fail"
-    assert not report.residual.is_zero
 
 
 def test_closure_set_enumerates_all_assignments():
