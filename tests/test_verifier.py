@@ -1,4 +1,9 @@
 """Invariant-class construction, closure bookkeeping, both verifiers."""
+import hashlib
+import itertools
+import random
+from pathlib import Path
+
 import pytest
 
 from gda import (
@@ -9,6 +14,7 @@ from gda import (
     IdealKind,
     IdealRegistry,
     Index,
+    SignMode,
     SymbolRegistry,
     Term,
     VerifierSetup,
@@ -18,6 +24,7 @@ from gda import (
     build_class,
     build_closure_set,
     cancel_hypotheses,
+    load_session,
     reduce_modulo,
     render_term,
     scale,
@@ -26,6 +33,7 @@ from gda import (
 )
 
 D = DiffKind.delta
+CLASS_FILE = Path(__file__).resolve().parent.parent / "sessions" / "invariant_class.gda"
 
 COMPLETION_INDICES = [
     ("Phi1", Index(0, 2, 0)),
@@ -214,3 +222,52 @@ def test_report_to_json_contract():
     assert payload["status"] == "ok"
     assert payload["residual"] == "0"
     assert all(set(step) == {"rule", "before", "after"} for step in payload["trace"])
+
+
+# sha256 over every closure hypothesis (tag, then rendered term) that
+# the contexts below produce, frozen from the fully expanded build; a
+# construction shortcut that changes any hypothesis changes this digest
+CLOSURE_SET_DIGEST = "bd734c142ae27bae8d965615edfa5e6a800acc904b324880e9d043656282f4fe"
+
+
+def _digest_contexts(setup):
+    """Seeded re-indexed contexts, some with closed generators so that
+    contents and completion slots vanish, plus the shipped session."""
+    rng = random.Random(20261018)
+    for _ in range(4):
+        reg = SymbolRegistry()
+        shared = Index(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 2))
+        picked = [
+            Factor(reg.declare(name, shared, rng.choice([(), ("dclosed",), ("Dclosed",)])))
+            for name in ("phi", "eta")
+        ]
+        comps = tuple(
+            Factor(reg.declare(
+                f"Phi{i}",
+                Index(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 2)),
+                rng.choice([(), (), ("dclosed",)]),
+                "completion",
+            ))
+            for i in range(1, 5)
+        )
+        ideals = IdealRegistry()
+        for f in picked:
+            ideals.register(IdealKind.nonlocal2, Factor(f.generator, (setup.d,)), setup.laws)
+        yield build_closure_set(picked[0], picked[1], comps, ideals, setup)
+    session = load_session(CLASS_FILE, {
+        "sign-mode": setup.sign.value,
+        "epsilon-mode": setup.epsilon_mode.value,
+        "xi-mode": setup.xi_mode.value,
+    })
+    yield session.closure_set("H")
+
+
+def test_closure_set_digest_is_frozen():
+    digest = hashlib.sha256()
+    for sign, eps, xi in itertools.product(SignMode, EpsilonMode, XiMode):
+        setup = VerifierSetup(sign=sign, epsilon_mode=eps, xi_mode=xi)
+        for closure_set in _digest_contexts(setup):
+            assert len(closure_set.conditions) == 54
+            for h in closure_set.conditions:
+                digest.update(f"{h.tag}\n{render_term(h.term)}\n".encode())
+    assert digest.hexdigest() == CLOSURE_SET_DIGEST
