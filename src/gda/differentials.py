@@ -78,12 +78,17 @@ def apply_differential(
     """
     koszul = sign is SignMode.koszul
     wanted = None if slots is None else frozenset(slots)
+    if wanted and term:
+        # the shortest monomial is the first in term order to reject a slot
+        arity = min(len(monomial.factors) for monomial, _ in term.summands())
+        for slot in wanted:
+            if not 1 <= slot <= arity:
+                raise SlotError(f"slot {slot} out of range for arity {arity}")
+    # only the kills show the order in which monomials are visited
+    summands = term.summands() if kills is None else term.items()
     out: dict[Monomial, Fraction] = {}
-    for monomial, coeff in term:
+    for monomial, coeff in summands:
         factors = monomial.factors
-        for slot in wanted or ():
-            if not 1 <= slot <= len(factors):
-                raise SlotError(f"slot {slot} out of range for arity {len(factors)}")
         odd = False
         for pos, factor in enumerate(factors, 1):
             if wanted is None or pos in wanted:
@@ -93,10 +98,12 @@ def apply_differential(
                         kills.append((pos, factor, reason))
                 else:
                     new = Monomial(factors[: pos - 1] + (pushed,) + factors[pos:], monomial.overlaps)
-                    out[new] = out.get(new, 0) + (-coeff if odd else coeff)
+                    signed = -coeff if odd else coeff
+                    total = out.get(new)
+                    out[new] = signed if total is None else total + signed
             if koszul and factor.effective_index.n % 2:
                 odd = not odd
-    return Term(out)
+    return Term._from_normal({m: c for m, c in out.items() if c})
 
 
 def apply_slot_differential(

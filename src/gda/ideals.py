@@ -74,13 +74,16 @@ class IdealRegistry:
         """Reduce and report each deletion as (reason, monomial)."""
         kept: dict[Monomial, Fraction] = {}
         deleted: list[tuple[str, Monomial]] = []
-        for monomial, coeff in term:
+        for monomial, coeff in term.summands():
             reason = self.monomial_vanishes(monomial, laws)
             if reason is None:
                 kept[monomial] = coeff
             else:
                 deleted.append((reason, monomial))
-        return Term(kept), deleted
+        # deletions are reported in term order; the sort is stable, so
+        # this is the order a walk over term.items() would give
+        deleted.sort(key=lambda entry: entry[1].sort_key())
+        return Term._from_normal(kept), deleted
 
 
 @dataclass(frozen=True)

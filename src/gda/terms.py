@@ -15,10 +15,10 @@ All coefficients are fractions.Fraction, so arithmetic is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArityError, CoherenceViolation, HeterogeneousSum, NameClash
 
@@ -155,12 +155,37 @@ def stack_vanishes(stack: Sequence[DiffKind], laws: DiffLaws = DEFAULT_LAWS) -> 
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Factor:
-    """One generator with its applied differentials, innermost first."""
+    """One generator with its applied differentials, innermost first.
+
+    The sort key and the hash are computed once, when the factor is
+    built; equality stays by value.
+    """
 
     generator: GeneratorSymbol
     diffs: tuple[DiffKind, ...] = ()
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        key = (self.generator.name, tuple(k.value for k in self.diffs))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Factor):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.generator == other.generator
+            and self.diffs == other.diffs
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def effective_index(self) -> Index:
@@ -170,7 +195,7 @@ class Factor:
         return idx
 
     def sort_key(self):
-        return (self.generator.name, tuple(k.value for k in self.diffs))
+        return self._key
 
     def __str__(self) -> str:
         return self.generator.name + "".join("." + k.token for k in self.diffs)
@@ -195,12 +220,18 @@ def coherent_index(
     return Index(n, m, kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Monomial:
-    """An ordered product of factors with per-factor overlap counts."""
+    """An ordered product of factors with per-factor overlap counts.
+
+    The hash is computed when the monomial is built and the sort key on
+    first use; equality stays by value.
+    """
 
     factors: tuple[Factor, ...]
     overlaps: tuple[tuple[int, int], ...] = ()
+    _hash: int = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.overlaps:
@@ -209,6 +240,21 @@ class Monomial:
             raise ArityError(
                 f"{len(self.overlaps)} overlap pairs for {len(self.factors)} factors"
             )
+        object.__setattr__(self, "_hash", hash((self.factors, self.overlaps)))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.factors == other.factors
+            and self.overlaps == other.overlaps
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -225,7 +271,12 @@ class Monomial:
         return "".join("I" if f.diffs else "0" for f in self.factors)
 
     def sort_key(self):
-        return (len(self.factors), tuple(f.sort_key() for f in self.factors), self.overlaps)
+        try:
+            return self._key
+        except AttributeError:
+            key = (len(self.factors), tuple(f._key for f in self.factors), self.overlaps)
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __str__(self) -> str:
         parts = []
@@ -240,8 +291,29 @@ class Monomial:
 EMPTY_MONOMIAL = Monomial(())
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _exact(coeff) -> Fraction:
+    """The coefficient as a Fraction; anything but an int or a Fraction
+    (a float above all) is refused rather than silently rounded."""
+    if isinstance(coeff, Fraction):
+        return coeff
+    if isinstance(coeff, int):
+        return Fraction(coeff)
+    raise TypeError(
+        f"term coefficients must be int or Fraction, not {type(coeff).__name__}"
+    )
+
+
+def _by_monomial(item: tuple[Monomial, Fraction]):
+    return item[0].sort_key()
+
+
 class Term:
-    """A finite rational combination of monomials, kept normalized."""
+    """A finite rational combination of monomials, kept normalized:
+    every stored coefficient is a nonzero Fraction."""
 
     __slots__ = ("_summands",)
 
@@ -249,23 +321,31 @@ class Term:
         data: dict[Monomial, Fraction] = {}
         if summands:
             for mono, coeff in summands.items():
-                q = Fraction(coeff)
+                q = _exact(coeff)
                 if q:
-                    data[mono] = data.get(mono, Fraction(0)) + q
-        self._summands = {m: c for m, c in data.items() if c}
+                    data[mono] = q
+        self._summands = data
 
     # --- constructors -------------------------------------------------
+    @classmethod
+    def _from_normal(cls, summands: dict[Monomial, Fraction]) -> "Term":
+        """Adopt a dict that is already normal (nonzero Fraction values)
+        without copying or checking it."""
+        term = object.__new__(cls)
+        term._summands = summands
+        return term
+
     @classmethod
     def zero(cls) -> "Term":
         return cls()
 
     @classmethod
     def from_monomial(cls, monomial: Monomial, coeff: Fraction | int = 1) -> "Term":
-        return cls({monomial: Fraction(coeff)})
+        return cls({monomial: coeff})
 
     @classmethod
     def from_factor(cls, factor: Factor, coeff: Fraction | int = 1) -> "Term":
-        return cls({Monomial((factor,)): Fraction(coeff)})
+        return cls({Monomial((factor,)): coeff})
 
     # --- inspection ---------------------------------------------------
     @property
@@ -273,13 +353,20 @@ class Term:
         return not self._summands
 
     def items(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._summands.items(), key=lambda kv: kv[0].sort_key())
+        """(monomial, coefficient) pairs in monomial sort order, the
+        order every rendering and trace shows."""
+        return sorted(self._summands.items(), key=_by_monomial)
+
+    def summands(self) -> ItemsView[Monomial, Fraction]:
+        """(monomial, coefficient) pairs in no particular order, for sums
+        and lookups whose result does not depend on it."""
+        return self._summands.items()
 
     def monomials(self) -> list[Monomial]:
         return [m for m, _ in self.items()]
 
     def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._summands.get(monomial, Fraction(0))
+        return self._summands.get(monomial, _ZERO)
 
     def __len__(self) -> int:
         return len(self._summands)
@@ -301,11 +388,19 @@ class Term:
     def __add__(self, other: "Term") -> "Term":
         merged = dict(self._summands)
         for mono, coeff in other._summands.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return Term(merged)
+            total = merged.get(mono)
+            if total is None:
+                merged[mono] = coeff
+            else:
+                total += coeff
+                if total:
+                    merged[mono] = total
+                else:
+                    del merged[mono]
+        return Term._from_normal(merged)
 
     def __neg__(self) -> "Term":
-        return Term({m: -c for m, c in self._summands.items()})
+        return Term._from_normal({m: -c for m, c in self._summands.items()})
 
     def __sub__(self, other: "Term") -> "Term":
         return self + (-other)
@@ -313,7 +408,10 @@ class Term:
     def __mul__(self, other):
         if isinstance(other, Term):
             return multiply([self, other])
-        return Term({m: c * Fraction(other) for m, c in self._summands.items()})
+        q = _exact(other)
+        if not q:
+            return Term()
+        return Term._from_normal({m: c * q for m, c in self._summands.items()})
 
     __rmul__ = __mul__
 
@@ -344,23 +442,25 @@ def add(left: Term, right: Term, strict: bool = True) -> Term:
 
 
 def scale(coeff: Fraction | int, term: Term) -> Term:
-    return term * Fraction(coeff)
+    return term * coeff
 
 
 def multiply(terms: Sequence[Term]) -> Term:
     """Ordered product of terms, fully distributed; each factor keeps
     the overlap pair its monomial carries."""
-    result: dict[Monomial, Fraction] = {EMPTY_MONOMIAL: Fraction(1)}
+    result: dict[Monomial, Fraction] = {EMPTY_MONOMIAL: _ONE}
     for term in terms:
         step: dict[Monomial, Fraction] = {}
         for acc_mono, acc_coeff in result.items():
             for mono, coeff in term._summands.items():
                 joined = Monomial(acc_mono.factors + mono.factors, acc_mono.overlaps + mono.overlaps)
-                step[joined] = step.get(joined, Fraction(0)) + acc_coeff * coeff
-        result = step
+                product = acc_coeff * coeff
+                total = step.get(joined)
+                step[joined] = product if total is None else total + product
+        result = {m: c for m, c in step.items() if c}
         if not result:
             break
-    return Term(result)
+    return Term._from_normal(result)
 
 
 def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
@@ -370,7 +470,7 @@ def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
     net for terms assembled directly from raw stacks.
     """
     out: dict[Monomial, Fraction] = {}
-    for mono, coeff in term.items():
+    for mono, coeff in term.summands():
         factors = []
         dead = False
         for f in mono.factors:
@@ -382,7 +482,7 @@ def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
         if dead:
             continue
         new = Monomial(tuple(factors), mono.overlaps)
-        out[new] = out.get(new, Fraction(0)) + coeff
+        out[new] = out.get(new, _ZERO) + coeff
     return Term(out)
 
 

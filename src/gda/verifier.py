@@ -95,7 +95,7 @@ class VerificationReport:
 # --- class layout -----------------------------------------------------
 
 def _content_arity(term: Term) -> int:
-    arities = {m.arity for m in term.monomials()}
+    arities = {m.arity for m, _ in term.summands()}
     if len(arities) > 1:
         raise LayoutError("content slot with mixed arities")
     return arities.pop() if arities else 1
@@ -208,41 +208,80 @@ def build_closure_set(
             )
     phi_t = Term.from_factor(phi)
     psi_t = Term.from_factor(psi)
-    if setup.xi_mode is XiMode.sum_enriched:
-        options = [
-            (phi.generator.name, phi_t),
-            (psi.generator.name, psi_t),
-            (f"{phi.generator.name}+{psi.generator.name}", add(phi_t, psi_t)),
-        ]
-    else:
+    closure_set = ClosureSet()
+    if setup.xi_mode is XiMode.ordered_pairs:
         options = [
             (f"{phi.generator.name}*{phi.generator.name}", multiply([phi_t, phi_t])),
             (f"{phi.generator.name}*{psi.generator.name}", multiply([phi_t, psi_t])),
             (f"{psi.generator.name}*{psi.generator.name}", multiply([psi_t, psi_t])),
         ]
-    closure_set = ClosureSet()
-    for (n1, t1), (n2, t2), (n3, t3) in product(options, repeat=3):
+        for (n1, t1), (n2, t2), (n3, t3) in product(options, repeat=3):
+            for level in (0, 1):
+                condition = _closure_condition(setup, completions, t1, t2, t3, level)
+                closure_set.conditions.append(
+                    ClosureHypothesis(_tag(n1, n2, n3, level), (n1, n2, n3), level, condition)
+                )
+        return closure_set
+
+    # sum mode: a condition is linear in each content, so only the
+    # phi/psi choices per slot are expanded and a phi+psi slot adds them up
+    add(phi_t, psi_t)  # HeterogeneousSum unless phi and psi share an index
+    names = (phi.generator.name, psi.generator.name)
+    bases = (phi_t, psi_t)
+    expanded = {
+        (i1, i2, i3, level): _closure_condition(
+            setup, completions, bases[i1], bases[i2], bases[i3], level
+        )
+        for i1, i2, i3 in product((0, 1), repeat=3)
+        for level in (0, 1)
+    }
+    options = [(0,), (1,), (0, 1)]
+    for parts in product(options, repeat=3):
+        n1, n2, n3 = ("+".join(names[i] for i in part) for part in parts)
+        firsts, seconds, thirds = parts
+        if setup.epsilon_mode is EpsilonMode.drop:
+            # the first content is left out of the layout, so the slot-1
+            # choice does not change the condition and is not summed
+            firsts = firsts[:1]
         for level in (0, 1):
-            c1, c2, c3 = _content_terms(setup, t1, t2, t3, level)
-            layout, slots = class_layout(setup, completions, c1, c2, c3)
-            condition = apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
-            tag = f"{n1}|{n2}|{n3}|{'Dd' if level else 'D'}"
+            condition = sum(
+                (expanded[i1, i2, i3, level] for i1, i2, i3 in product(firsts, seconds, thirds)),
+                Term.zero(),
+            )
             closure_set.conditions.append(
-                ClosureHypothesis(tag, (n1, n2, n3), level, condition)
+                ClosureHypothesis(_tag(n1, n2, n3, level), (n1, n2, n3), level, condition)
             )
     return closure_set
 
 
+def _closure_condition(
+    setup: VerifierSetup,
+    completions: tuple[Factor, ...],
+    t1: Term,
+    t2: Term,
+    t3: Term,
+    level: int,
+) -> Term:
+    """Slot differential of the layout built from three contents."""
+    c1, c2, c3 = _content_terms(setup, t1, t2, t3, level)
+    layout, slots = class_layout(setup, completions, c1, c2, c3)
+    return apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
+
+
+def _tag(n1: str, n2: str, n3: str, level: int) -> str:
+    return f"{n1}|{n2}|{n3}|{'Dd' if level else 'D'}"
+
+
 # --- cancellation machinery -------------------------------------------
 
-def _match_ratio(term: Term, hypothesis: Term) -> Fraction | None:
-    items = hypothesis.items()
-    if not items:
-        return None
+def _match_ratio(term: Term, items: list[tuple[Monomial, Fraction]]) -> Fraction | None:
+    """The one ratio at which term holds every (monomial, coefficient)
+    of a nonzero hypothesis, or None."""
     first_mono, first_coeff = items[0]
-    ratio = term.coefficient(first_mono) / first_coeff
-    if ratio == 0:
+    present = term.coefficient(first_mono)
+    if not present:
         return None
+    ratio = present / first_coeff
     for mono, coeff in items[1:]:
         if term.coefficient(mono) != ratio * coeff:
             return None
@@ -253,11 +292,13 @@ def cancel_hypotheses(
     term: Term, hypotheses: list[ClosureHypothesis]
 ) -> tuple[Term, list[TraceStep]]:
     steps: list[TraceStep] = []
+    # a zero hypothesis never fires
+    prepared = [(h, h.term.items()) for h in hypotheses if not h.term.is_zero]
     changed = True
     while changed and not term.is_zero:
         changed = False
-        for h in hypotheses:
-            ratio = _match_ratio(term, h.term)
+        for h, items in prepared:
+            ratio = _match_ratio(term, items)
             if ratio is not None:
                 before = render_term(term)
                 term = term - h.term * ratio
@@ -314,9 +355,9 @@ def verify_cocycle(
 def _nearest_hypothesis(residual: Term, closure_set: ClosureSet) -> str | None:
     best_tag = None
     best_overlap = 0
-    monos = set(residual.monomials())
+    monos = {m for m, _ in residual.summands()}
     for h in closure_set.conditions:
-        overlap = sum(1 for m in h.term.monomials() if m in monos)
+        overlap = sum(1 for m, _ in h.term.summands() if m in monos)
         if overlap > best_overlap:
             best_overlap = overlap
             best_tag = h.tag
