@@ -224,10 +224,36 @@ def test_report_to_json_contract():
     assert all(set(step) == {"rule", "before", "after"} for step in payload["trace"])
 
 
-# sha256 over every closure hypothesis (tag, then rendered term) that
-# the contexts below produce, frozen from the fully expanded build; a
-# construction shortcut that changes any hypothesis changes this digest
-CLOSURE_SET_DIGEST = "bd734c142ae27bae8d965615edfa5e6a800acc904b324880e9d043656282f4fe"
+# per (sign mode, epsilon mode, xi mode): sha256 over every closure
+# hypothesis (tag, then rendered term) that the contexts below produce,
+# frozen from the fully expanded build; a construction shortcut that
+# changes any hypothesis changes its digest
+CLOSURE_SET_DIGESTS = {
+    ("paper", "pair", "sum"): (
+        "6d45a359389b63801693fd15bb0d7f9111cfbbccf5a590d316bd0b340b6320e9"
+    ),
+    ("paper", "pair", "pairs"): (
+        "5478b212a053e2b713164116171330f42e21e47be49a00bb31c9566ebc3ae26d"
+    ),
+    ("paper", "drop", "sum"): (
+        "c7e1e43e49337237452e36bbdb2150d1faa3d9fa085e6b8a18d0f0ac01d09512"
+    ),
+    ("paper", "drop", "pairs"): (
+        "91684dde0e1e68388e39ab9511cfb72327dd0848370685b6ed91e53870af8dbb"
+    ),
+    ("koszul", "pair", "sum"): (
+        "116141a9fa34fb9fdf8360a9e67ebc1010fd4e39624d444f0718472c4d8fbed6"
+    ),
+    ("koszul", "pair", "pairs"): (
+        "bb893ee38493f4bcfb49f62a73d3f11c66251862e5d72e027e0510b18c416f01"
+    ),
+    ("koszul", "drop", "sum"): (
+        "2fad84b142191028b1d17f78f25e1e4546990123b00b478ad3fe733e53df8ef7"
+    ),
+    ("koszul", "drop", "pairs"): (
+        "6ed822a9a8e84a4689396eb7ba7e3bc979487bf6f500590efe58b6450fdcd399"
+    ),
+}
 
 
 def _digest_contexts(setup):
@@ -262,12 +288,14 @@ def _digest_contexts(setup):
     yield session.closure_set("H")
 
 
-def test_closure_set_digest_is_frozen():
-    digest = hashlib.sha256()
+def test_closure_set_digests_are_frozen():
+    digests = {}
     for sign, eps, xi in itertools.product(SignMode, EpsilonMode, XiMode):
         setup = VerifierSetup(sign=sign, epsilon_mode=eps, xi_mode=xi)
+        digest = hashlib.sha256()
         for closure_set in _digest_contexts(setup):
             assert len(closure_set.conditions) == 54
             for h in closure_set.conditions:
                 digest.update(f"{h.tag}\n{render_term(h.term)}\n".encode())
-    assert digest.hexdigest() == CLOSURE_SET_DIGEST
+        digests[sign.value, eps.value, xi.value] = digest.hexdigest()
+    assert digests == CLOSURE_SET_DIGESTS
