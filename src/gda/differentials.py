@@ -5,12 +5,14 @@ raises kappa.  Both act on products summand by summand.  Two sign
 conventions are supported: the plain one puts +1 on every summand (so a
 repeated horizontal differential of a 2-factor product yields a doubled
 cross term instead of zero), the koszul one weights each summand by the
-parity of the horizontal degrees to its left, restoring d^2 = 0 on
-products.
+parity of the degrees to its left that the differential moves (n for
+the horizontal one, kappa for the vertical one), restoring d^2 = 0 and
+D^2 = 0 on products and making the two commute.
 """
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from fractions import Fraction
 from typing import Collection
 
@@ -73,10 +75,13 @@ def apply_differential(
 
     Each monomial gives one summand per factor, or per 1-based position
     in slots when given.  In koszul mode a summand carries the parity of
-    the horizontal degrees to its left.  Pushes the laws kill are
-    appended to kills as (slot, factor, reason), in term order.
+    the degrees to its left that this differential moves: n for d,
+    kappa for D.  Pushes the laws kill are appended to kills as (slot,
+    factor, reason), in term order.
     """
     koszul = sign is SignMode.koszul
+    # the running sign follows the degree this differential moves
+    degree = attrgetter("n" if kind is DiffKind.delta else "kappa")
     wanted = None if slots is None else frozenset(slots)
     if wanted and term:
         # the shortest monomial is the first in term order to reject a slot
@@ -101,7 +106,7 @@ def apply_differential(
                     signed = -coeff if odd else coeff
                     total = out.get(new)
                     out[new] = signed if total is None else total + signed
-            if koszul and factor.effective_index.n % 2:
+            if koszul and degree(factor.effective_index) % 2:
                 odd = not odd
     return Term._from_normal({m: c for m, c in out.items() if c})
 

@@ -79,6 +79,29 @@ def test_koszul_squares_to_zero_on_random_terms(reg):
         assert normalize(twice, DiffLaws()).is_zero, render_term(term)
 
 
+def test_koszul_d_and_D_square_to_zero_and_commute(reg):
+    # the running sign follows the degree the active differential moves
+    # (n for d, kappa for D), so with D chain-cochain both differentials
+    # square to zero on products and d D = D d
+    laws = DiffLaws(Delta_chain_cochain=True)
+    rng = random.Random(11)
+    gens = [
+        reg.declare(f"g{i}", Index(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 3)))
+        for i in range(6)
+    ]
+    stacks = [(), (D,), (DD,), (D, DD)]
+
+    def diff(kind, term):
+        return apply_differential(kind, term, SignMode.koszul, laws)
+
+    for _ in range(60):
+        factors = tuple(Factor(rng.choice(gens), rng.choice(stacks)) for _ in range(3))
+        term = Term.from_monomial(Monomial(factors))
+        assert diff(D, diff(D, term)).is_zero, render_term(term)
+        assert diff(DD, diff(DD, term)).is_zero, render_term(term)
+        assert diff(D, diff(DD, term)) == diff(DD, diff(D, term)), render_term(term)
+
+
 def test_differential_raises_index(reg):
     prod = two_factor(reg)
     out = apply_differential(D, prod)

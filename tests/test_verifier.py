@@ -244,8 +244,9 @@ CLOSURE_SET_DIGESTS = {
     ("koszul", "pair", "sum"): (
         "116141a9fa34fb9fdf8360a9e67ebc1010fd4e39624d444f0718472c4d8fbed6"
     ),
+    # D on the two-factor first content takes its sign from kappa
     ("koszul", "pair", "pairs"): (
-        "bb893ee38493f4bcfb49f62a73d3f11c66251862e5d72e027e0510b18c416f01"
+        "813c72a76d070c88e8e13c0baaa6ca94dbffb15a45b2a03655e87397c3f74102"
     ),
     ("koszul", "drop", "sum"): (
         "2fad84b142191028b1d17f78f25e1e4546990123b00b478ad3fe733e53df8ef7"
