@@ -1,4 +1,5 @@
 """Core term algebra: indices, factors, monomials, exact sums."""
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,27 @@ def test_scale_keeps_fractions_exact(reg):
     t = scale(Fraction(1, 3), Term.from_factor(Factor(a)))
     assert t.coefficient(Monomial((Factor(a),))) == Fraction(1, 3)
     assert render_term(scale(3, t)) == "(a)"
+
+
+def test_inexact_coefficients_are_refused(reg):
+    # Fraction(0.1) would store the binary expansion of the float
+    a = reg.declare("a", Index(1, 0, 0))
+    mono = Monomial((Factor(a),))
+    t = Term.from_monomial(mono)
+    for bad in (0.1, 1.0, 0.0, Decimal("0.5"), "1", None):
+        with pytest.raises(TypeError):
+            scale(bad, t)
+        with pytest.raises(TypeError):
+            t * bad
+        with pytest.raises(TypeError):
+            bad * t
+        with pytest.raises(TypeError):
+            Term({mono: bad})
+        with pytest.raises(TypeError):
+            Term.from_monomial(mono, bad)
+    assert render_term(scale(Fraction(1, 10), t)) == "1/10*(a)"
+    assert render_term(t * 3) == "3*(a)"
+    assert t.coefficient(mono) == 1 and type(t.coefficient(mono)) is Fraction
 
 
 def test_multiply_concatenates_with_overlaps(reg):
