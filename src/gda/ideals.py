@@ -56,15 +56,15 @@ class IdealRegistry:
         for f in monomial.factors:
             if stack_vanishes(canonical_stack(f.diffs, laws), laws):
                 return "law:square"
-        nonlocal_count = sum(
-            1 for f in monomial.factors if self.is_member(IdealKind.nonlocal2, f)
-        )
-        if nonlocal_count >= 2:
+        nonlocal2 = self._members[IdealKind.nonlocal2]
+        local2 = self._members[IdealKind.local2]
+        square2 = self._members[IdealKind.square2]
+        if sum(1 for f in monomial.factors if f in nonlocal2) >= 2:
             return "ideal:nonlocal2"
         for a, b in zip(monomial.factors, monomial.factors[1:]):
-            if self.is_member(IdealKind.local2, a) and self.is_member(IdealKind.local2, b):
+            if a in local2 and b in local2:
                 return "ideal:local2"
-            if a == b and self.is_member(IdealKind.square2, a):
+            if a == b and a in square2:
                 return "ideal:square2"
         return None
 

@@ -224,14 +224,15 @@ def coherent_index(
 class Monomial:
     """An ordered product of factors with per-factor overlap counts.
 
-    The hash is computed when the monomial is built and the sort key on
-    first use; equality stays by value.
+    The hash is computed when the monomial is built, the sort key and
+    the printed form on first use; equality stays by value.
     """
 
     factors: tuple[Factor, ...]
     overlaps: tuple[tuple[int, int], ...] = ()
     _hash: int = field(init=False, repr=False)
     _key: tuple = field(init=False, repr=False)
+    _text: str = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.overlaps:
@@ -279,13 +280,18 @@ class Monomial:
             return key
 
     def __str__(self) -> str:
-        parts = []
-        for f, (r, t) in zip(self.factors, self.overlaps):
-            piece = str(f)
-            if (r, t) != (0, 0):
-                piece += f"[r={r},t={t}]"
-            parts.append(piece)
-        return "(" + ", ".join(parts) + ")"
+        try:
+            return self._text
+        except AttributeError:
+            parts = []
+            for f, (r, t) in zip(self.factors, self.overlaps):
+                piece = str(f)
+                if (r, t) != (0, 0):
+                    piece += f"[r={r},t={t}]"
+                parts.append(piece)
+            text = "(" + ", ".join(parts) + ")"
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 EMPTY_MONOMIAL = Monomial(())
