@@ -12,8 +12,8 @@ D^2 = 0 on products and making the two commute.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
 from fractions import Fraction
+from operator import attrgetter
 from typing import Collection
 
 from .errors import SlotError
@@ -80,7 +80,6 @@ def apply_differential(
     factor, reason), in term order.
     """
     koszul = sign is SignMode.koszul
-    # the running sign follows the degree this differential moves
     degree = attrgetter("n" if kind is DiffKind.delta else "kappa")
     wanted = None if slots is None else frozenset(slots)
     if wanted and term:

@@ -187,6 +187,10 @@ class Factor:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return Factor, (self.generator, self.diffs)
+
     @property
     def effective_index(self) -> Index:
         idx = self.generator.index
@@ -231,8 +235,8 @@ class Monomial:
     factors: tuple[Factor, ...]
     overlaps: tuple[tuple[int, int], ...] = ()
     _hash: int = field(init=False, repr=False)
-    _key: tuple = field(init=False, repr=False)
-    _text: str = field(init=False, repr=False)
+    _key: tuple | None = field(init=False, repr=False, default=None)
+    _text: str | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not self.overlaps:
@@ -257,6 +261,10 @@ class Monomial:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return Monomial, (self.factors, self.overlaps)
+
     @property
     def arity(self) -> int:
         return len(self.factors)
@@ -272,26 +280,21 @@ class Monomial:
         return "".join("I" if f.diffs else "0" for f in self.factors)
 
     def sort_key(self):
-        try:
-            return self._key
-        except AttributeError:
+        if self._key is None:
             key = (len(self.factors), tuple(f._key for f in self.factors), self.overlaps)
             object.__setattr__(self, "_key", key)
-            return key
+        return self._key
 
     def __str__(self) -> str:
-        try:
-            return self._text
-        except AttributeError:
+        if self._text is None:
             parts = []
             for f, (r, t) in zip(self.factors, self.overlaps):
                 piece = str(f)
                 if (r, t) != (0, 0):
                     piece += f"[r={r},t={t}]"
                 parts.append(piece)
-            text = "(" + ", ".join(parts) + ")"
-            object.__setattr__(self, "_text", text)
-            return text
+            object.__setattr__(self, "_text", "(" + ", ".join(parts) + ")")
+        return self._text
 
 
 EMPTY_MONOMIAL = Monomial(())

@@ -1,6 +1,11 @@
 """Core term algebra: indices, factors, monomials, exact sums."""
+import os
+import pickle
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +179,28 @@ def test_inexact_coefficients_are_refused(reg):
     assert render_term(scale(Fraction(1, 10), t)) == "1/10*(a)"
     assert render_term(t * 3) == "3*(a)"
     assert t.coefficient(mono) == 1 and type(t.coefficient(mono)) is Fraction
+
+
+def test_pickled_term_from_another_process_keeps_its_lookups():
+    # factors and monomials cache hashes of strings, which differ between
+    # processes; a term pickled elsewhere must still find its monomials
+    script = (
+        "import pickle, sys\n"
+        "from gda import DiffKind, Factor, Index, Monomial, SymbolRegistry, Term\n"
+        "a = SymbolRegistry().declare('a', Index(1, 0, 0))\n"
+        "m = Monomial((Factor(a, (DiffKind.delta,)), Factor(a)), ((0, 0), (1, 0)))\n"
+        "sys.stdout.buffer.write(pickle.dumps(Term({m: 3})))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "12345"}
+    data = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True
+    ).stdout
+    a = SymbolRegistry().declare("a", Index(1, 0, 0))
+    m = Monomial((Factor(a, (DiffKind.delta,)), Factor(a)), ((0, 0), (1, 0)))
+    term = pickle.loads(data)
+    assert term.coefficient(m) == 3
+    assert term == Term({m: 3})
 
 
 def test_multiply_concatenates_with_overlaps(reg):
