@@ -297,9 +297,6 @@ class Monomial:
         return self._text
 
 
-EMPTY_MONOMIAL = Monomial(())
-
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -457,19 +454,26 @@ def scale(coeff: Fraction | int, term: Term) -> Term:
 def multiply(terms: Sequence[Term]) -> Term:
     """Ordered product of terms, fully distributed; each factor keeps
     the overlap pair its monomial carries."""
-    result: dict[Monomial, Fraction] = {EMPTY_MONOMIAL: _ONE}
+    # partial products stay bare tuples; each distinct product becomes
+    # one Monomial at the end
+    partial: list[tuple[tuple[Factor, ...], tuple[tuple[int, int], ...], Fraction]] = [
+        ((), (), _ONE)
+    ]
     for term in terms:
-        step: dict[Monomial, Fraction] = {}
-        for acc_mono, acc_coeff in result.items():
-            for mono, coeff in term._summands.items():
-                joined = Monomial(acc_mono.factors + mono.factors, acc_mono.overlaps + mono.overlaps)
-                product = acc_coeff * coeff
-                total = step.get(joined)
-                step[joined] = product if total is None else total + product
-        result = {m: c for m, c in step.items() if c}
-        if not result:
+        summands = term._summands.items()
+        partial = [
+            (factors + mono.factors, overlaps + mono.overlaps, acc * coeff)
+            for factors, overlaps, acc in partial
+            for mono, coeff in summands
+        ]
+        if not partial:
             break
-    return Term._from_normal(result)
+    result: dict[Monomial, Fraction] = {}
+    for factors, overlaps, coeff in partial:
+        mono = Monomial(factors, overlaps)
+        total = result.get(mono)
+        result[mono] = coeff if total is None else total + coeff
+    return Term._from_normal({m: c for m, c in result.items() if c})
 
 
 def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
