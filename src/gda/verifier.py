@@ -208,37 +208,30 @@ def build_closure_set(
             )
     phi_t = Term.from_factor(phi)
     psi_t = Term.from_factor(psi)
-    closure_set = ClosureSet()
-    if setup.xi_mode is XiMode.ordered_pairs:
-        options = [
-            (f"{phi.generator.name}*{phi.generator.name}", multiply([phi_t, phi_t])),
-            (f"{phi.generator.name}*{psi.generator.name}", multiply([phi_t, psi_t])),
-            (f"{psi.generator.name}*{psi.generator.name}", multiply([psi_t, psi_t])),
+    p, q = phi.generator.name, psi.generator.name
+    if setup.xi_mode is XiMode.sum_enriched:
+        add(phi_t, psi_t)  # HeterogeneousSum unless phi and psi share an index
+        bases = [(p, phi_t), (q, psi_t)]
+        # a condition is linear in each content, so a phi+psi slot is the
+        # sum of its phi and psi conditions and only those are expanded
+        options = [(0,), (1,), (0, 1)]
+    else:
+        bases = [
+            (f"{p}*{p}", multiply([phi_t, phi_t])),
+            (f"{p}*{q}", multiply([phi_t, psi_t])),
+            (f"{q}*{q}", multiply([psi_t, psi_t])),
         ]
-        for (n1, t1), (n2, t2), (n3, t3) in product(options, repeat=3):
-            for level in (0, 1):
-                condition = _closure_condition(setup, completions, t1, t2, t3, level)
-                closure_set.conditions.append(
-                    ClosureHypothesis(_tag(n1, n2, n3, level), (n1, n2, n3), level, condition)
-                )
-        return closure_set
-
-    # sum mode: a condition is linear in each content, so only the
-    # phi/psi choices per slot are expanded and a phi+psi slot adds them up
-    add(phi_t, psi_t)  # HeterogeneousSum unless phi and psi share an index
-    names = (phi.generator.name, psi.generator.name)
-    bases = (phi_t, psi_t)
+        options = [(0,), (1,), (2,)]
     expanded = {
         (i1, i2, i3, level): _closure_condition(
-            setup, completions, bases[i1], bases[i2], bases[i3], level
+            setup, completions, bases[i1][1], bases[i2][1], bases[i3][1], level
         )
-        for i1, i2, i3 in product((0, 1), repeat=3)
+        for i1, i2, i3 in product(range(len(bases)), repeat=3)
         for level in (0, 1)
     }
-    options = [(0,), (1,), (0, 1)]
-    for parts in product(options, repeat=3):
-        n1, n2, n3 = ("+".join(names[i] for i in part) for part in parts)
-        firsts, seconds, thirds = parts
+    closure_set = ClosureSet()
+    for firsts, seconds, thirds in product(options, repeat=3):
+        names = tuple("+".join(bases[i][0] for i in part) for part in (firsts, seconds, thirds))
         if setup.epsilon_mode is EpsilonMode.drop:
             # the first content is left out of the layout, so the slot-1
             # choice does not change the condition and is not summed
@@ -248,9 +241,8 @@ def build_closure_set(
                 (expanded[i1, i2, i3, level] for i1, i2, i3 in product(firsts, seconds, thirds)),
                 Term.zero(),
             )
-            closure_set.conditions.append(
-                ClosureHypothesis(_tag(n1, n2, n3, level), (n1, n2, n3), level, condition)
-            )
+            tag = f"{names[0]}|{names[1]}|{names[2]}|{'Dd' if level else 'D'}"
+            closure_set.conditions.append(ClosureHypothesis(tag, names, level, condition))
     return closure_set
 
 
@@ -266,10 +258,6 @@ def _closure_condition(
     c1, c2, c3 = _content_terms(setup, t1, t2, t3, level)
     layout, slots = class_layout(setup, completions, c1, c2, c3)
     return apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
-
-
-def _tag(n1: str, n2: str, n3: str, level: int) -> str:
-    return f"{n1}|{n2}|{n3}|{'Dd' if level else 'D'}"
 
 
 # --- cancellation machinery -------------------------------------------
