@@ -10,7 +10,13 @@ first differential shifts (n, m) by (+1, -1), the second shifts kappa by
 +1.  A product of factors lands at the componentwise sum of the factor
 indices, minus declared per-factor overlap counts (r on n, t on m).
 
-All coefficients are fractions.Fraction, so arithmetic is exact.
+All coefficients are fractions.Fraction, so arithmetic is exact; a
+coefficient that is not an int or a Fraction raises TypeError.
+
+Factors and monomials are frozen values that compute their hash once and
+their sort key on first use.  A term is a dict from monomial to nonzero
+coefficient: items() sorts it for everything that shows an order
+(rendering, traces), summands() leaves it unsorted for sums and lookups.
 """
 from __future__ import annotations
 

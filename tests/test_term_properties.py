@@ -17,7 +17,7 @@ from gda import (
 )
 
 # deterministic and small: these run with the rest of tier-1
-kernel = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+kernel = settings(max_examples=20, derandomize=True, database=None, deadline=None)
 
 D = DiffKind.delta
 DD = DiffKind.Delta
@@ -51,7 +51,7 @@ def build(parts) -> Monomial:
 
 monomials = monomial_parts().map(build)
 # zero coefficients are drawn on purpose: Term must not store them
-terms = st.dictionaries(monomials, coefficients, max_size=5).map(Term)
+terms = st.dictionaries(monomials, coefficients, max_size=4).map(Term)
 
 
 def stored(term: Term) -> list[Fraction]:
