@@ -13,9 +13,9 @@ family.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .differentials import SignMode, apply_differential
 from .errors import ArityError, CoherenceViolation
@@ -39,8 +39,7 @@ from .terms import (
 _LABEL_RE = re.compile(r"\(([I0]+)\)|([I0]+)")
 
 
-@dataclass(frozen=True)
-class ChoiceVector:
+class ChoiceVector(NamedTuple):
     """Differentiate-or-not choices, one per product factor."""
 
     entries: tuple[int, ...]
@@ -69,8 +68,7 @@ def collapse_signature(sig: str) -> str:
     return sig
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     label: str
     lhs: Term
     rhs: Term
@@ -121,8 +119,7 @@ def make_condition(
     return Condition(J.label, lhs, rhs, expected)
 
 
-@dataclass(frozen=True)
-class CoherenceEquation:
+class CoherenceEquation(NamedTuple):
     component: str
     expected: int
     actual: int
@@ -161,19 +158,23 @@ def check_coherence(cond: Condition, literal_m: bool = False) -> None:
 
 # --- derivation trees -------------------------------------------------
 
-@dataclass
 class TreeNode:
-    id: int
-    depth: int
-    edge: str
-    condition: Condition
-    note: str | None = None
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
+    __slots__ = ("id", "depth", "edge", "condition", "note", "parent", "children")
+
+    def __init__(
+        self, id: int, depth: int, edge: str, condition: Condition,
+        note: str | None = None, parent: int | None = None,
+    ):
+        self.id = id
+        self.depth = depth
+        self.edge = edge
+        self.condition = condition
+        self.note = note
+        self.parent = parent
+        self.children: list[int] = []
 
 
-@dataclass(frozen=True)
-class PeriodicFamily:
+class PeriodicFamily(NamedTuple):
     """A two-factor vanishing pattern that regenerates itself under
     resolve-then-differentiate, indexed by a running integer."""
 
@@ -233,14 +234,16 @@ class PeriodicFamily:
         return conds
 
 
-@dataclass
 class DerivationTree:
-    start: str
-    depth: int
-    sign: SignMode
-    d: DiffKind
-    nodes: list[TreeNode] = field(default_factory=list)
-    families: list[PeriodicFamily] = field(default_factory=list)
+    __slots__ = ("start", "depth", "sign", "d", "nodes", "families")
+
+    def __init__(self, start: str, depth: int, sign: SignMode, d: DiffKind):
+        self.start = start
+        self.depth = depth
+        self.sign = sign
+        self.d = d
+        self.nodes: list[TreeNode] = []
+        self.families: list[PeriodicFamily] = []
 
 
 def _seen_key(cond: Condition) -> tuple:

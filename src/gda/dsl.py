@@ -9,9 +9,9 @@ generator gets) happens when the session is built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import replace as dc_replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .conditions import Condition, check_coherence
 from .differentials import EpsilonMode, SignMode
@@ -46,8 +46,7 @@ _BOUND_KEYS = {
 
 # --- statements -------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorExpr:
+class FactorExpr(NamedTuple):
     """Surface form of one factor: a generator name, differential
     wrappers innermost first, and an optional overlap suffix."""
 
@@ -65,28 +64,38 @@ class FactorExpr:
         return out
 
 
-@dataclass(frozen=True)
-class _Located:
-    """Where a statement's head token sits in its file (1-based)."""
-
-    line: int = field(default=0, compare=False, kw_only=True)
-    column: int = field(default=0, compare=False, kw_only=True)
+def _same_statement(self, other) -> bool:
+    return type(other) is type(self) and self[:-2] == other[:-2]
 
 
-@dataclass(frozen=True)
-class SetStatement(_Located):
+def _located(cls):
+    """Each statement ends with the line and column (1-based, 0 when
+    built in code) of its head token.  It compares and hashes by what it
+    says, not where: those two fields are left out."""
+    cls.__eq__ = _same_statement
+    cls.__ne__ = lambda self, other: not _same_statement(self, other)
+    cls.__hash__ = lambda self: hash(self[:-2])
+    return cls
+
+
+@_located
+class SetStatement(NamedTuple):
     key: str
     value: str
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         return f"set {self.key} {self.value};"
 
 
-@dataclass(frozen=True)
-class GenStatement(_Located):
+@_located
+class GenStatement(NamedTuple):
     name: str
     index: Index
     flags: tuple[str, ...] = ()
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         out = f"gen {self.name} index {self.index}"
@@ -95,20 +104,24 @@ class GenStatement(_Located):
         return out + ";"
 
 
-@dataclass(frozen=True)
-class IdealStatement(_Located):
+@_located
+class IdealStatement(NamedTuple):
     kind: str
     pattern: FactorExpr
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         return f"ideal {self.kind} {self.pattern.render()};"
 
 
-@dataclass(frozen=True)
-class ConditionStatement(_Located):
+@_located
+class ConditionStatement(NamedTuple):
     label: str
     lhs: FactorExpr | None
     rhs: tuple[FactorExpr, ...]
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         lhs = "0" if self.lhs is None else self.lhs.render()
@@ -116,11 +129,13 @@ class ConditionStatement(_Located):
         return f"condition ({self.label}) {lhs} = ({rhs});"
 
 
-@dataclass(frozen=True)
-class CompletionStatement(_Located):
+@_located
+class CompletionStatement(NamedTuple):
     name: str
     phis: tuple[str, ...]
     Phis: tuple[str, ...]
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         return (
@@ -129,12 +144,14 @@ class CompletionStatement(_Located):
         )
 
 
-@dataclass(frozen=True)
-class HypothesesStatement(_Located):
+@_located
+class HypothesesStatement(NamedTuple):
     name: str
     first: str
     second: str
     completions: tuple[str, ...]
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         return (
@@ -143,11 +160,13 @@ class HypothesesStatement(_Located):
         )
 
 
-@dataclass(frozen=True)
-class ClassStatement(_Located):
+@_located
+class ClassStatement(NamedTuple):
     name: str
     phi: str
     completions: tuple[str, ...]
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         return (
@@ -168,8 +187,7 @@ def print_session(statements: list[Statement]) -> str:
 
 # --- tokenizer --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -312,7 +330,7 @@ class _Parser:
         handler = getattr(self, f"stmt_{head.text}", None)
         if handler is None:
             raise self.error(f"unknown statement {head.text!r}", head)
-        return dc_replace(handler(), line=head.line, column=head.column)
+        return handler()._replace(line=head.line, column=head.column)
 
     def stmt_set(self) -> SetStatement:
         key = self.hyphen_name()
@@ -437,18 +455,28 @@ def _universal_newlines(text: str) -> str:
 
 # --- session building -------------------------------------------------
 
-@dataclass
 class Session:
-    registry: SymbolRegistry
-    ideals: IdealRegistry
-    conditions: list[Condition]
-    hypothesis_decls: dict[str, tuple[str, str, tuple[str, ...]]]
-    class_decls: dict[str, tuple[str, tuple[str, ...]]]
-    setup: VerifierSetup
-    bounds: IndexBounds
-    literal_m: bool
-    statements: list[Statement]
-    filename: str
+    __slots__ = (
+        "registry", "ideals", "conditions", "hypothesis_decls", "class_decls",
+        "setup", "bounds", "literal_m", "statements", "filename",
+    )
+
+    def __init__(
+        self, registry: SymbolRegistry, ideals: IdealRegistry, conditions: list[Condition],
+        hypothesis_decls: dict[str, tuple[str, str, tuple[str, ...]]],
+        class_decls: dict[str, tuple[str, tuple[str, ...]]], setup: VerifierSetup,
+        bounds: IndexBounds, literal_m: bool, statements: list[Statement], filename: str,
+    ):
+        self.registry = registry
+        self.ideals = ideals
+        self.conditions = conditions
+        self.hypothesis_decls = hypothesis_decls
+        self.class_decls = class_decls
+        self.setup = setup
+        self.bounds = bounds
+        self.literal_m = literal_m
+        self.statements = statements
+        self.filename = filename
 
     def factor(self, name: str) -> Factor:
         return Factor(self.registry.get(name))
@@ -544,19 +572,17 @@ def build_session(
                 elif key == "Delta-chain-cochain":
                     setup = dc_replace(
                         setup,
-                        laws=dc_replace(
-                            setup.laws, Delta_chain_cochain=_on_off(value, key)
-                        ),
+                        laws=setup.laws._replace(Delta_chain_cochain=_on_off(value, key)),
                     )
                 elif key == "commute":
                     setup = dc_replace(
-                        setup, laws=dc_replace(setup.laws, commute=_on_off(value, key))
+                        setup, laws=setup.laws._replace(commute=_on_off(value, key))
                     )
                 elif key.startswith("bound "):
                     bound_key = key.split(" ", 1)[1]
                     if bound_key not in _BOUND_KEYS:
                         raise fail(f"unknown bound {bound_key!r}")
-                    bounds = dc_replace(bounds, **{_BOUND_KEYS[bound_key]: int(value)})
+                    bounds = bounds._replace(**{_BOUND_KEYS[bound_key]: int(value)})
                 else:
                     raise fail(f"unknown setting {key!r}")
             elif isinstance(st, GenStatement):

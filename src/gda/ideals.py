@@ -12,9 +12,9 @@ from the coherence equations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ArityError
 from .terms import (
@@ -86,8 +86,7 @@ class IdealRegistry:
         return Term._from_normal(kept), deleted
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     """One resolution variant for one position of a vanishing product."""
 
     position: int  # 1-based

@@ -16,11 +16,10 @@ every basis mask, and each kernel basis once per (kind, parity).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AssignmentError, ModelError
-from .terms import DiffKind, Term
+from .terms import DiffKind, Term, _frozen, _set
 
 Coefficient = int | Fraction
 Element = dict[int, Coefficient]
@@ -113,32 +112,29 @@ def _basis_image(field_name: str, table: dict[int, Element], mask: int) -> Eleme
     return _reduced(field_name, acc)
 
 
-@dataclass(frozen=True)
 class Model:
-    k: int
-    field: str
-    tables: dict[DiffKind, dict[int, Element]] = field(default_factory=dict)
-    # derived from the tables: each derivation as the image of every basis
-    # mask, the basis masks per parity (None: all of them), and the kernel
-    # bases solved so far, keyed by (kind, parity)
-    images: dict[DiffKind, list[Element]] = field(init=False, repr=False, compare=False)
-    masks: dict[int | None, list[int]] = field(init=False, repr=False, compare=False)
-    kernels: dict[tuple[DiffKind, int | None], list[Element]] = field(
-        init=False, repr=False, compare=False
-    )
+    """k generators over a field ("q" or "gf2") with one table per
+    differential.  Derived from the tables: each derivation as the image
+    of every basis mask, the basis masks per parity (None: all of them),
+    and the kernel bases solved so far, keyed by (kind, parity)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("k", "field", "tables", "images", "masks", "kernels")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, k: int, field: str, tables: dict[DiffKind, dict[int, Element]]):
+        _set(self, "k", k)
+        _set(self, "field", field)
+        _set(self, "tables", tables)
         basis = self.basis
-        images = {
-            kind: [_basis_image(self.field, table, mask) for mask in basis]
-            for kind, table in self.tables.items()
-        }
-        masks = {None: basis, 0: [], 1: []}
+        _set(self, "images", {
+            kind: [_basis_image(field, table, mask) for mask in basis]
+            for kind, table in tables.items()
+        })
+        masks: dict[int | None, list[int]] = {None: basis, 0: [], 1: []}
         for mask in basis:
             masks[_popcount(mask) % 2].append(mask)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "kernels", {})
+        _set(self, "masks", masks)
+        _set(self, "kernels", {})
 
     @property
     def basis(self) -> list[int]:

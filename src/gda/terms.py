@@ -13,7 +13,8 @@ indices, minus declared per-factor overlap counts (r on n, t on m).
 All coefficients are fractions.Fraction, so arithmetic is exact; a
 coefficient that is not an int or a Fraction raises TypeError.
 
-Factors and monomials are frozen values that compute their hash once and
+Indices, laws, bounds and generator symbols are named tuples.  Factors
+and monomials are frozen slotted values that compute their hash once and
 their sort key on first use.  A term is a dict from monomial to nonzero
 coefficient: items() sorts it for everything that shows an order
 (rendering, traces), summands() leaves it unsorted for sums and lookups.
@@ -21,10 +22,9 @@ coefficient: items() sorts it for everything that shows an order
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import ItemsView, Iterable, Iterator, Mapping, Sequence
+from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ArityError, CoherenceViolation, HeterogeneousSum, NameClash
 
@@ -53,8 +53,7 @@ class DiffKind(str, Enum):
 _SHIFTS = {DiffKind.delta: (1, -1, 0), DiffKind.Delta: (0, 0, 1)}
 
 
-@dataclass(frozen=True, order=True)
-class Index:
+class Index(NamedTuple):
     n: int
     m: int
     kappa: int
@@ -79,8 +78,7 @@ class Index:
 ZERO_INDEX = Index(0, 0, 0)
 
 
-@dataclass(frozen=True)
-class IndexBounds:
+class IndexBounds(NamedTuple):
     """Optional componentwise bounds on admissible indices."""
 
     n_min: int | None = None
@@ -103,8 +101,7 @@ class IndexBounds:
                 raise CoherenceViolation(f"{name}={value} above bound {hi}{where}")
 
 
-@dataclass(frozen=True)
-class DiffLaws:
+class DiffLaws(NamedTuple):
     """Structural laws the factor stacks obey.
 
     delta is always chain-cochain (two in a row kill the monomial); for
@@ -124,8 +121,7 @@ class DiffLaws:
 DEFAULT_LAWS = DiffLaws()
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(NamedTuple):
     """A named generator of the complex, fixed to one space via its index.
 
     flags carries ideal membership markers (nonlocal2, local2, square2)
@@ -161,7 +157,13 @@ def stack_vanishes(stack: Sequence[DiffKind], laws: DiffLaws = DEFAULT_LAWS) -> 
     return False
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+_set = object.__setattr__
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+
 class Factor:
     """One generator with its applied differentials, innermost first.
 
@@ -169,15 +171,15 @@ class Factor:
     built; equality stays by value.
     """
 
-    generator: GeneratorSymbol
-    diffs: tuple[DiffKind, ...] = ()
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("generator", "diffs", "_key", "_hash")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        key = (self.generator.name, tuple(k.value for k in self.diffs))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __init__(self, generator: GeneratorSymbol, diffs: tuple[DiffKind, ...] = ()):
+        key = (generator.name, tuple(k.value for k in diffs))
+        _set(self, "generator", generator)
+        _set(self, "diffs", diffs)
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -196,6 +198,9 @@ class Factor:
     def __reduce__(self):
         # rebuild on unpickling: string hashes differ between processes
         return Factor, (self.generator, self.diffs)
+
+    def __repr__(self) -> str:
+        return f"Factor(generator={self.generator!r}, diffs={self.diffs!r})"
 
     @property
     def effective_index(self) -> Index:
@@ -230,7 +235,6 @@ def coherent_index(
     return Index(n, m, kappa)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Monomial:
     """An ordered product of factors with per-factor overlap counts.
 
@@ -238,20 +242,21 @@ class Monomial:
     the printed form on first use; equality stays by value.
     """
 
-    factors: tuple[Factor, ...]
-    overlaps: tuple[tuple[int, int], ...] = ()
-    _hash: int = field(init=False, repr=False)
-    _key: tuple | None = field(init=False, repr=False, default=None)
-    _text: str | None = field(init=False, repr=False, default=None)
+    __slots__ = ("factors", "overlaps", "_hash", "_key", "_text")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if not self.overlaps:
-            object.__setattr__(self, "overlaps", ((0, 0),) * len(self.factors))
-        elif len(self.overlaps) != len(self.factors):
-            raise ArityError(
-                f"{len(self.overlaps)} overlap pairs for {len(self.factors)} factors"
-            )
-        object.__setattr__(self, "_hash", hash((self.factors, self.overlaps)))
+    def __init__(
+        self, factors: tuple[Factor, ...], overlaps: tuple[tuple[int, int], ...] = ()
+    ):
+        if not overlaps:
+            overlaps = ((0, 0),) * len(factors)
+        elif len(overlaps) != len(factors):
+            raise ArityError(f"{len(overlaps)} overlap pairs for {len(factors)} factors")
+        _set(self, "factors", factors)
+        _set(self, "overlaps", overlaps)
+        _set(self, "_hash", hash((factors, overlaps)))
+        _set(self, "_key", None)
+        _set(self, "_text", None)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -271,6 +276,9 @@ class Monomial:
         # rebuild on unpickling: string hashes differ between processes
         return Monomial, (self.factors, self.overlaps)
 
+    def __repr__(self) -> str:
+        return f"Monomial(factors={self.factors!r}, overlaps={self.overlaps!r})"
+
     @property
     def arity(self) -> int:
         return len(self.factors)
@@ -288,7 +296,7 @@ class Monomial:
     def sort_key(self):
         if self._key is None:
             key = (len(self.factors), tuple(f._key for f in self.factors), self.overlaps)
-            object.__setattr__(self, "_key", key)
+            _set(self, "_key", key)
         return self._key
 
     def __str__(self) -> str:
@@ -299,7 +307,7 @@ class Monomial:
                 if (r, t) != (0, 0):
                     piece += f"[r={r},t={t}]"
                 parts.append(piece)
-            object.__setattr__(self, "_text", "(" + ", ".join(parts) + ")")
+            _set(self, "_text", "(" + ", ".join(parts) + ")")
         return self._text
 
 

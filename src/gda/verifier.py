@@ -14,10 +14,11 @@ monomials is present with one common coefficient ratio.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .differentials import (
     EpsilonMode,
@@ -57,21 +58,25 @@ class VerifierSetup:
         return self.d.other
 
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
     rule: str
     before: str
     after: str
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    status: str
-    residual: Term
-    trace: list[TraceStep]
-    primitive: Term | None = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("claim", "status", "residual", "trace", "primitive", "notes")
+
+    def __init__(
+        self, claim: str, status: str, residual: Term, trace: list[TraceStep],
+        primitive: Term | None = None, notes: list[str] | None = None,
+    ):
+        self.claim = claim
+        self.status = status
+        self.residual = residual
+        self.trace = trace
+        self.primitive = primitive
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -162,17 +167,18 @@ def build_class(
 
 # --- closure hypothesis sets ------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureHypothesis:
+class ClosureHypothesis(NamedTuple):
     tag: str
     assignment: tuple[str, str, str]
     slot1_level: int
     term: Term
 
 
-@dataclass
 class ClosureSet:
-    conditions: list[ClosureHypothesis] = field(default_factory=list)
+    __slots__ = ("conditions",)
+
+    def __init__(self, conditions: list[ClosureHypothesis] | None = None):
+        self.conditions = [] if conditions is None else conditions
 
     def find(self, assignment: tuple[str, str, str], slot1_level: int) -> ClosureHypothesis | None:
         for h in self.conditions:

@@ -1,9 +1,14 @@
 """Record semantics: value equality and hashing, index order and
-arithmetic, immutability, and the verifier setup's dataclass interface."""
+arithmetic, immutability, and the verifier setup's dataclass interface;
+and a guard that no other record is a dataclass."""
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import gda
 from gda import (
     ZERO_INDEX,
     ChoiceVector,
@@ -127,3 +132,19 @@ def test_verifier_setup_supports_dataclass_replace():
     assert setup.sign is SignMode.koszul
     assert setup == VerifierSetup(sign=SignMode.koszul)
     assert setup.d is DiffKind.delta and setup.laws == DiffLaws()
+
+
+def test_verifier_setup_is_the_only_dataclass():
+    # records are named tuples or slotted classes, which Python builds
+    # without generating code at import; see README "Start-up"
+    found = set()
+    for info in pkgutil.iter_modules(gda.__path__):
+        module = importlib.import_module(f"gda.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj)
+                and obj.__module__ == module.__name__
+                and dataclasses.is_dataclass(obj)
+            ):
+                found.add(f"{module.__name__}.{name}")
+    assert found == {"gda.verifier.VerifierSetup"}
