@@ -373,6 +373,10 @@ def verify_independence(
         raise LayoutError(
             "primitive reconstruction needs the paired layout (epsilon mode pair)"
         )
+    if setup.xi_mode is not XiMode.sum_enriched:
+        raise LayoutError(
+            "primitive reconstruction needs single-element closure conditions (xi mode sum)"
+        )
     phi_t = Term.from_factor(phi)
     eta_t = Term.from_factor(eta)
     class_phi = build_class(phi_t, completions, setup)

@@ -133,6 +133,21 @@ def test_verify_independence_ok(capsys):
     assert "status: ok" in out
 
 
+def test_verify_independence_in_pairs_mode_is_config_error(capsys):
+    # pairs hypotheses are tagged by products (phi*eta|...), which the
+    # single-element lookup of the primitive reconstruction never matches
+    rc = main([
+        "verify-independence", CLASS_FILE,
+        "--class", "INV", "--eta", "eta", "--xi-mode", "pairs",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: primitive reconstruction needs single-element closure"
+        " conditions (xi mode sum)\n"
+    )
+
+
 def test_model_check_runs_and_respects_seed(capsys):
     assert main(["model-check", CLASS_FILE, "--trials", "5", "--seed", "9"]) == 0
     first = capsys.readouterr().out

@@ -14,6 +14,7 @@ from gda import (
     IdealKind,
     IdealRegistry,
     Index,
+    LayoutError,
     SignMode,
     SymbolRegistry,
     Term,
@@ -210,6 +211,16 @@ def test_verify_independence_ablation_names_the_cross():
         "no closure condition for assignment ('eta', 'phi', 'eta')" in note
         for note in report.notes
     )
+
+
+def test_verify_independence_refuses_pairs_mode():
+    # the primitive is looked up by single-element assignments, and pairs
+    # hypotheses are tagged by products, so no lookup could match
+    setup = VerifierSetup(xi_mode=XiMode.ordered_pairs)
+    reg, phi, eta, comps, ideals, setup = standard_context(setup)
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    with pytest.raises(LayoutError, match=r"xi mode sum"):
+        verify_independence(phi, eta, comps, closure_set, ideals, setup)
 
 
 def test_report_to_json_contract():
