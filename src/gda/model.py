@@ -136,6 +136,10 @@ class Model:
         _set(self, "masks", masks)
         _set(self, "kernels", {})
 
+    def __reduce__(self):
+        # copies and unpickling rebuild from the tables
+        return Model, (self.k, self.field, self.tables)
+
     @property
     def basis(self) -> list[int]:
         return list(range(1 << self.k))

@@ -1,9 +1,11 @@
 """Record semantics: value equality and hashing, index order and
 arithmetic, immutability, and the verifier setup's dataclass interface;
 and a guard that no other record is a dataclass."""
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import pytest
@@ -125,6 +127,14 @@ def test_records_refuse_attribute_assignment(case):
     with pytest.raises(AttributeError):
         setattr(record, attr, before)
     assert getattr(record, attr) == before
+
+
+@pytest.mark.parametrize("case", range(len(_immutable_cases())))
+def test_records_survive_copy_and_pickle(case):
+    record, attr = _immutable_cases()[case]
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert getattr(clone, attr) == getattr(record, attr)
 
 
 def test_verifier_setup_supports_dataclass_replace():
