@@ -7,6 +7,7 @@ or any other deliberate error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -260,6 +261,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+# a command runs once per process and what the imports built lives until it
+# exits, so the collections during main() need not scan it again
+gc.freeze()
 
 
 if __name__ == "__main__":
