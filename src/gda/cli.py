@@ -263,8 +263,7 @@ def entry() -> None:
     sys.exit(main())
 
 
-# a command runs once per process and what the imports built lives until it
-# exits, so the collections during main() need not scan it again
+# what the imports built lives until exit: keep main()'s collections off it
 gc.freeze()
 
 

@@ -113,10 +113,9 @@ def _basis_image(field_name: str, table: dict[int, Element], mask: int) -> Eleme
 
 
 class Model:
-    """k generators over a field ("q" or "gf2") with one table per
-    differential.  Derived from the tables: each derivation as the image
-    of every basis mask, the basis masks per parity (None: all of them),
-    and the kernel bases solved so far, keyed by (kind, parity)."""
+    """k generators over a field ("q" or "gf2"), one table per differential,
+    and from the tables: each derivation's image of every basis mask, the
+    basis masks per parity (None: all) and the kernels solved per (kind, parity)."""
 
     __slots__ = ("k", "field", "tables", "images", "masks", "kernels")
     __setattr__ = __delattr__ = _frozen

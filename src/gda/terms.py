@@ -245,9 +245,7 @@ class Monomial:
     __slots__ = ("factors", "overlaps", "_hash", "_key", "_text")
     __setattr__ = __delattr__ = _frozen
 
-    def __init__(
-        self, factors: tuple[Factor, ...], overlaps: tuple[tuple[int, int], ...] = ()
-    ):
+    def __init__(self, factors: tuple[Factor, ...], overlaps: tuple[tuple[int, int], ...] = ()):
         if not overlaps:
             overlaps = ((0, 0),) * len(factors)
         elif len(overlaps) != len(factors):
