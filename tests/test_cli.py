@@ -214,6 +214,19 @@ def test_verify_report_matches_frozen_text(command, args, mode, flags, capsys):
     assert rc == (0 if "status: ok\n" in frozen else 1)
 
 
+@pytest.mark.parametrize("mode", ["paper", "koszul"])
+@pytest.mark.parametrize("command, args", [
+    ("verify-class", ["--class", "INV", "--hypotheses", "H"]),
+    ("verify-independence", ["--class", "INV", "--eta", "eta", "--hypotheses", "H"]),
+])
+def test_verify_report_matches_frozen_json(command, args, mode, capsys):
+    rc = main([command, CLASS_FILE, *args, "--sign-mode", mode, "--report", "json"])
+    # every trace step's rule, before and after, byte for byte
+    frozen = (GOLDEN / f"{command.replace('-', '_')}.{mode}.json").read_text()
+    assert capsys.readouterr().out == frozen
+    assert rc == (0 if json.loads(frozen)["status"] == "ok" else 1)
+
+
 SESSION_NAMES = ["conditions.gda", "invariant_class.gda", "minimal.gda"]
 SESSION_COMMANDS = {
     "check": [],
