@@ -245,10 +245,16 @@ def evaluate(term: Term, model: Model, assignment: dict[str, Element]) -> Elemen
 def random_element(
     model: Model, rng: random.Random, parity: int | None = None
 ) -> Element:
-    low, high = (0, 1) if model.field == "gf2" else (-3, 3)
+    # rng.randint(low, low + width - 1) without its call layers: the same
+    # rejection sampling on getrandbits, so the same values and end state
+    low, width, bits = (0, 2, 2) if model.field == "gf2" else (-3, 7, 3)
+    getrandbits = rng.getrandbits
     out: Element = {}
     for mask in model.masks[None if parity is None else parity % 2]:
-        c = rng.randint(low, high)
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        c = low + r
         if c:
             out[mask] = c
     return out

@@ -59,9 +59,11 @@ class VerifierSetup:
 
 
 class TraceStep(NamedTuple):
+    """One step of a verification; `before` and `after` keep the objects
+    and render (str) only when a report is shown."""
     rule: str
-    before: str
-    after: str
+    before: Term | Monomial | str
+    after: Term | Monomial | str
 
 
 class VerificationReport:
@@ -89,7 +91,7 @@ class VerificationReport:
             "status": self.status,
             "residual": render_term(self.residual),
             "trace": [
-                {"rule": s.rule, "before": s.before, "after": s.after}
+                {"rule": s.rule, "before": str(s.before), "after": str(s.after)}
                 for s in self.trace
             ],
             "primitive": None if self.primitive is None else render_term(self.primitive),
@@ -286,17 +288,17 @@ def cancel_hypotheses(
     term: Term, hypotheses: list[ClosureHypothesis]
 ) -> tuple[Term, list[TraceStep]]:
     steps: list[TraceStep] = []
-    # a zero hypothesis never fires
-    prepared = [(h, h.term.items()) for h in hypotheses if not h.term.is_zero]
+    # a zero hypothesis never fires; the ratio test reads summands in any order
+    prepared = [(h, list(h.term.summands())) for h in hypotheses if not h.term.is_zero]
     changed = True
     while changed and not term.is_zero:
         changed = False
         for h, items in prepared:
             ratio = _match_ratio(term, items)
             if ratio is not None:
-                before = render_term(term)
+                before = term
                 term = term - h.term * ratio
-                steps.append(TraceStep(f"hypothesis:{h.tag}", before, render_term(term)))
+                steps.append(TraceStep(f"hypothesis:{h.tag}", before, term))
                 changed = True
     return term, steps
 
@@ -309,7 +311,7 @@ def reduce_modulo(
 ) -> tuple[Term, list[TraceStep]]:
     """Ideal reduction followed by exhaustive hypothesis cancellation."""
     reduced, deleted = ideals.reduce_with_trace(term, setup.laws)
-    trace = [TraceStep(reason, str(m), "0") for reason, m in deleted]
+    trace = [TraceStep(reason, m, "0") for reason, m in deleted]
     remaining, steps = cancel_hypotheses(reduced, hypotheses)
     return remaining, trace + steps
 
@@ -411,7 +413,7 @@ def verify_independence(
         )
         reduced, del_steps = ideals.reduce_with_trace(expanded, setup.laws)
         for reason, m in del_steps:
-            trace.append(TraceStep(reason, str(m), "0"))
+            trace.append(TraceStep(reason, m, "0"))
         trace += _law_steps(kills, setup)
         remaining, cancel_steps = cancel_hypotheses(reduced, [hypothesis])
         trace += cancel_steps
@@ -423,7 +425,7 @@ def verify_independence(
             continue
         contribution = Term({candidate: coeff / scale})
         primitive = primitive + contribution
-        trace.append(TraceStep("primitive", str(mono), render_term(contribution)))
+        trace.append(TraceStep("primitive", mono, contribution))
 
     recomputed = apply_differential(setup.d, primitive, setup.sign, setup.laws)
     recomputed, final_steps = reduce_modulo(recomputed, ideals, closure_set.conditions, setup)

@@ -239,6 +239,25 @@ def test_random_element_parity_filter():
             assert bin(bits).count("1") % 2 == parity
 
 
+@pytest.mark.parametrize("parity", [None, 0, 1])
+@pytest.mark.parametrize("make_model", [corner_model, raising_model])
+def test_random_element_draws_what_randint_draws(make_model, parity):
+    # seeded trials stay as they were: the same coefficients, in mask
+    # order, and the generator left in the same state
+    m = make_model()
+    low, high = (0, 1) if m.field == "gf2" else (-3, 3)
+    for seed in range(60):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = {}
+            for mask in m.masks[parity]:
+                c = twin.randint(low, high)
+                if c:
+                    expected[mask] = c
+            assert list(random_element(m, rng, parity).items()) == list(expected.items())
+        assert rng.random() == twin.random()
+
+
 def test_check_identity_and_product_rule_in_model():
     m = corner_model()
     reg = SymbolRegistry()

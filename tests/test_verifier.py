@@ -155,6 +155,41 @@ def test_cancel_hypotheses_leaves_partial_sums():
     assert not out.is_zero and not trace
 
 
+def test_cancel_hypotheses_does_not_depend_on_summand_order():
+    # the ratio test starts from whichever summand a hypothesis yields
+    # first; each term rebuilt in reverse order starts from another one
+    reg, phi, eta, comps, ideals, setup = standard_context()
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    hypotheses = closure_set.conditions
+    flipped = [
+        h._replace(term=Term(dict(reversed(list(h.term.summands())))))
+        for h in hypotheses
+    ]
+    assert all(f.term == h.term for f, h in zip(flipped, hypotheses))
+    assert all(
+        next(iter(f.term.summands())) != next(iter(h.term.summands()))
+        for f, h in zip(flipped, hypotheses) if len(h.term) > 1
+    )
+    h1 = closure_set.find(("phi", "phi", "phi"), 0)
+    h2 = closure_set.find(("eta", "phi", "eta"), 1)
+    first, coeff = h1.term.items()[0]
+    stray = Term.from_monomial(first, coeff)
+    sums = [
+        scale(3, h1.term),
+        scale(3, h1.term) + scale(-2, h2.term),
+        h1.term - stray,
+        scale(5, h2.term) + stray,
+    ]
+    for term in sums:
+        out, steps = cancel_hypotheses(term, hypotheses)
+        out_flipped, steps_flipped = cancel_hypotheses(term, flipped)
+        assert out == out_flipped
+        assert [s.rule for s in steps] == [s.rule for s in steps_flipped]
+    # a partial sum is left as it is, a scaled one cancels
+    assert cancel_hypotheses(sums[2], flipped) == (sums[2], [])
+    assert cancel_hypotheses(sums[3], flipped)[0] == stray
+
+
 def test_reduce_modulo_traces_ideal_deletions():
     reg, phi, eta, comps, ideals, setup = standard_context()
     term = build_class(phi, comps, setup)
