@@ -327,6 +327,32 @@ def test_set_depth_in_a_session_exits_2(tmp_path, capsys):
     assert "depth.gda:1:1: error: unknown setting 'depth'" in capsys.readouterr().err
 
 
+# a bad value for every `set` key, one line down and indented
+BAD_SETTINGS = {
+    "d": "d must be delta or Delta, got 'x'",
+    "sign-mode": "'x' is not a valid SignMode",
+    "epsilon-mode": "'x' is not a valid EpsilonMode",
+    "xi-mode": "'x' is not a valid XiMode",
+    "literal-m-coherence": "literal-m-coherence wants on or off, got 'x'",
+    "Delta-chain-cochain": "Delta-chain-cochain wants on or off, got 'x'",
+    "commute": "commute wants on or off, got 'x'",
+    **{
+        f"bound {bound}": "invalid literal for int() with base 10: 'x'"
+        for bound in ("n-min", "n-max", "m-min", "m-max", "kappa-min", "kappa-max")
+    },
+}
+
+
+@pytest.mark.parametrize("key", BAD_SETTINGS)
+def test_bad_setting_value_exits_2_at_its_position(key, tmp_path, capsys):
+    session = tmp_path / "bad.gda"
+    session.write_text(f"gen a index (1,0,0);\n  set {key} x;\n")
+    assert main(["check", str(session)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{session}:2:3: error: {BAD_SETTINGS[key]}\n"
+
+
 @pytest.mark.parametrize("command", ["check", "print"])
 def test_non_utf8_session_exits_2_at_the_byte(command, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.gda").write_bytes(b"gen a index (1,0,0);\n\xff\n")

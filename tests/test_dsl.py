@@ -242,3 +242,43 @@ def test_load_session_carries_filename_into_errors(tmp_path):
 def test_wrapped_overlap_parses_and_renders():
     stmts = parse_text("condition (I) 0 = (d(g)[r=1,t=1]);")
     assert stmts[0].render() == "condition (I) 0 = (d(g)[r=1,t=1]);"
+
+
+# every malformed definition keeps its message and its line:column
+@pytest.mark.parametrize("text, error", [
+    ("hypotheses H := closure(phi; P1, P2, P3, P4);", "1:28: error: expected ',', got ';'"),
+    ("hypotheses H := closure(phi, eta, zeta; P1, P2, P3, P4);",
+     "1:33: error: expected ';', got ','"),
+    ("hypotheses H := closure(phi eta; P1, P2, P3, P4);",
+     "1:29: error: expected ',', got 'eta'"),
+    ("hypotheses H := closure(phi, eta,; P1);", "1:33: error: expected ';', got ','"),
+    ("hypotheses H := closure(phi, eta; P1, P2,);", "1:42: error: expected a name, got ')'"),
+    ("hypotheses H := closure(; P1);", "1:25: error: expected a name, got ';'"),
+    ("hypotheses := closure(phi, eta; P1);", "1:12: error: expected a name, got ':='"),
+    ("hypotheses H := closure(phi, eta; P1, P2, P3, P4)",
+     "1:50: error: expected ';', got end of input"),
+    ("hypotheses H := closure(phi, eta; P1, P2, P3, P4",
+     "1:49: error: expected ')', got end of input"),
+    ("class C := invariant(phi, eta; P1);", "1:25: error: expected ';', got ','"),
+    ("class C := invariant(phi P1);", "1:26: error: expected ';', got 'P1'"),
+    ("class C := invariant(phi; P1,);", "1:30: error: expected a name, got ')'"),
+    ("class C := invariant(; P1);", "1:22: error: expected a name, got ';'"),
+    ("class C := complete(phi; P1);", "1:12: error: expected 'invariant', got 'complete'"),
+    ("class 3 := invariant(phi; P1);", "1:7: error: expected a name, got '3'"),
+    ("class C := invariant(phi;", "1:26: error: expected a name, got end of input"),
+    ("class C := invariant(phi; P1", "1:29: error: expected ')', got end of input"),
+    ("class C := invariant(phi; P1)", "1:30: error: expected ';', got end of input"),
+    ("class C = invariant(phi; P1);", "1:9: error: expected a assign, got '='"),
+    ("completion C := complete(; P1);", "1:26: error: expected a name, got ';'"),
+    ("completion C := complete(phi; P1,);", "1:34: error: expected a name, got ')'"),
+    ("completion C := complete(phi, ; P1);", "1:31: error: expected a name, got ';'"),
+    ("completion C := complete(phi P1);", "1:30: error: expected ';', got 'P1'"),
+    ("completion C := closure(phi; P1);", "1:17: error: expected 'complete', got 'closure'"),
+    ("completion C := complete phi; P1);", "1:26: error: expected '(', got 'phi'"),
+    ("completion C := complete(phi; P1)", "1:34: error: expected ';', got end of input"),
+    ("completion C := complete(phi; P1", "1:33: error: expected ')', got end of input"),
+])
+def test_malformed_definition_error_lines(text, error):
+    with pytest.raises(GdaSyntaxError) as err:
+        parse_text(text)
+    assert str(err.value) == f"<input>:{error}"
