@@ -13,8 +13,8 @@ import random
 import sys
 
 from .conditions import derive_tree, render_tree, standard_start, tree_to_json
-from .differentials import EpsilonMode, SignMode, apply_differential
-from .dsl import Session, load_session, parse_file, print_session
+from .differentials import SignMode, apply_differential
+from .dsl import SETTINGS, Session, load_session, parse_file, print_session
 from .errors import GdaError, GdaSyntaxError, ModelError
 from .model import (
     corner_model,
@@ -34,48 +34,30 @@ from .terms import (
     Term,
     render_term,
 )
-from .verifier import VerificationReport, XiMode, verify_cocycle, verify_independence
-
-# session flags, each the command-line form of the `set` line with its key
-_SESSION_FLAGS = {
-    key: [member.value for member in values]
-    for key, values in (
-        ("sign-mode", SignMode), ("epsilon-mode", EpsilonMode),
-        ("xi-mode", XiMode), ("d", DiffKind),
-    )
-}
+from .verifier import VerificationReport, verify_cocycle, verify_independence
 
 
 def _print_report(report: VerificationReport, mode: str) -> int:
+    data = report.to_json()
     if mode == "json":
-        sys.stdout.write(
-            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-        )
+        sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
     else:
-        lines = [
-            f"claim: {report.claim}",
-            f"status: {report.status}",
-            f"residual: {render_term(report.residual)}",
-            "trace:",
-        ]
-        for step in report.trace:
-            lines.append(f"  {step.rule}: {step.before} -> {step.after}")
-        if report.primitive is not None:
-            lines.append(f"primitive: {render_term(report.primitive)}")
-        if report.notes:
+        lines = [f"{key}: {data[key]}" for key in ("claim", "status", "residual")]
+        lines.append("trace:")
+        lines.extend(f"  {s['rule']}: {s['before']} -> {s['after']}" for s in data["trace"])
+        if data["primitive"] is not None:
+            lines.append(f"primitive: {data['primitive']}")
+        if data["notes"]:
             lines.append("notes:")
-            lines.extend(f"  {note}" for note in report.notes)
+            lines.extend(f"  {note}" for note in data["notes"])
         sys.stdout.write("\n".join(lines) + "\n")
     return 0 if report.ok else 1
 
 
 def _load(args) -> Session:
     """The session file with each session flag given as its `set` line."""
-    settings = {key: getattr(args, key.replace("-", "_")) for key in _SESSION_FLAGS}
-    settings["literal-m-coherence"] = args.literal_m_coherence
-    return load_session(
-        args.file, {key: value for key, value in settings.items() if value}
-    )
+    flags = {key: getattr(args, key.replace("-", "_"), None) for key in SETTINGS}
+    return load_session(args.file, {key: value for key, value in flags.items() if value})
 
 
 def _cmd_check(args) -> int:
@@ -191,8 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--report", choices=["text", "json"], default="text")
     session = argparse.ArgumentParser(add_help=False, parents=[report])
     session.add_argument("file")
-    for key, choices in _SESSION_FLAGS.items():
-        session.add_argument(f"--{key}", choices=choices, help=f"as `set {key}`")
+    for key in ("sign-mode", "epsilon-mode", "xi-mode", "d"):
+        session.add_argument(f"--{key}", choices=SETTINGS[key].values, help=f"as `set {key}`")
     session.add_argument("--literal-m-coherence", action="store_const", const="on",
                          help="as `set literal-m-coherence on`")
 
@@ -216,8 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", parents=[report],
                        help="expand the consequence tree of a start pattern")
     p.add_argument("--start", required=True, metavar="PATTERN")
-    p.add_argument("--sign-mode", choices=_SESSION_FLAGS["sign-mode"], default="paper")
-    p.add_argument("--d", choices=_SESSION_FLAGS["d"], default="delta")
+    p.add_argument("--sign-mode", choices=SETTINGS["sign-mode"].values, default="paper")
+    p.add_argument("--d", choices=SETTINGS["d"].values, default="delta")
     p.add_argument("--depth", type=_at_least_one, default=8)
     p.set_defaults(func=_cmd_derive)
 
@@ -251,10 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except GdaSyntaxError as err:
         print(str(err), file=sys.stderr)
         return 2
-    except GdaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (GdaError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import replace as dc_replace
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .conditions import Condition, check_coherence
 from .differentials import EpsilonMode, SignMode
@@ -20,6 +20,7 @@ from .ideals import IdealKind, IdealRegistry
 from .terms import (
     ZERO_INDEX,
     DiffKind,
+    DiffLaws,
     Factor,
     Index,
     IndexBounds,
@@ -37,11 +38,32 @@ from .verifier import (
 )
 
 _IDEAL_KINDS = ("nonlocal2", "local2", "square2")
-_BOUND_KEYS = {
-    "n-min": "n_min", "n-max": "n_max",
-    "m-min": "m_min", "m-max": "m_max",
-    "kappa-min": "kappa_min", "kappa-max": "kappa_max",
+
+
+class Setting(NamedTuple):
+    """What a `set` key sets: a VerifierSetup field, a DiffLaws field or
+    literal_m; and the values it accepts, by their text."""
+
+    field: str
+    values: Mapping[str, object]
+
+
+def _by_text(enum) -> dict[str, object]:
+    return {member.value: member for member in enum}
+
+
+_ON_OFF = {"on": True, "off": False}
+# every `set` key but `bound KEY`, where KEY is an IndexBounds field with - for _
+SETTINGS = {
+    "d": Setting("d", _by_text(DiffKind)),
+    "sign-mode": Setting("sign", _by_text(SignMode)),
+    "epsilon-mode": Setting("epsilon_mode", _by_text(EpsilonMode)),
+    "xi-mode": Setting("xi_mode", _by_text(XiMode)),
+    "literal-m-coherence": Setting("literal_m", _ON_OFF),
+    "Delta-chain-cochain": Setting("Delta_chain_cochain", _ON_OFF),
+    "commute": Setting("commute", _ON_OFF),
 }
+_BOUNDS = {field.replace("_", "-"): field for field in IndexBounds._fields}
 
 
 # --- statements -------------------------------------------------------
@@ -262,15 +284,26 @@ class _Parser:
 
     # pieces
 
+    def name(self) -> str:
+        return self.expect(kind="name").text
+
+    def items(self, item: Callable[[], object], count: int | None = None) -> tuple:
+        """Comma-separated items: exactly count of them, or as many as follow."""
+        found = [item()]
+        while len(found) < count if count else self.peek().text == ",":
+            self.expect(",")
+            found.append(item())
+        return tuple(found)
+
     def hyphen_name(self) -> str:
-        parts = [self.expect(kind="name").text]
+        parts = [self.name()]
         while (
             self.peek().text == "-"
             and self.pos + 1 < len(self.tokens)
             and self.tokens[self.pos + 1].kind == "name"
         ):
             self.advance()
-            parts.append(self.expect(kind="name").text)
+            parts.append(self.name())
         return "-".join(parts)
 
     def signed_int(self) -> int:
@@ -284,13 +317,9 @@ class _Parser:
 
     def index(self) -> Index:
         self.expect("(")
-        n = self.signed_int()
-        self.expect(",")
-        m = self.signed_int()
-        self.expect(",")
-        kappa = self.signed_int()
+        index = Index(*self.items(self.signed_int, 3))
         self.expect(")")
-        return Index(n, m, kappa)
+        return index
 
     def fexpr(self) -> FactorExpr:
         tok = self.expect(kind="name")
@@ -316,12 +345,20 @@ class _Parser:
             fe = FactorExpr(fe.name, fe.wraps, r, t)
         return fe
 
-    def name_list(self) -> tuple[str, ...]:
-        names = [self.expect(kind="name").text]
-        while self.peek().text == ",":
-            self.advance()
-            names.append(self.expect(kind="name").text)
-        return tuple(names)
+    def definition(
+        self, word: str, heads: int | None = None
+    ) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+        """``NAME := WORD(HEADS; COMPLETIONS);`` as (NAME, HEADS, COMPLETIONS)."""
+        name = self.name()
+        self.expect(":=")
+        self.expect(word)
+        self.expect("(")
+        head_names = self.items(self.name, heads)
+        self.expect(";")
+        completions = self.items(self.name)
+        self.expect(")")
+        self.expect(";")
+        return name, head_names, completions
 
     # statements
 
@@ -344,14 +381,14 @@ class _Parser:
         return SetStatement(key, value)
 
     def stmt_gen(self) -> GenStatement:
-        name = self.expect(kind="name").text
+        name = self.name()
         self.expect("index")
         idx = self.index()
         flags: tuple[str, ...] = ()
         if self.peek().text == "flags":
             self.advance()
             self.expect("[")
-            flags = self.name_list()
+            flags = self.items(self.name)
             self.expect("]")
         self.expect(";")
         return GenStatement(name, idx, flags)
@@ -379,51 +416,21 @@ class _Parser:
             lhs = self.fexpr()
         self.expect("=")
         self.expect("(")
-        rhs = [self.fexpr_with_overlap()]
-        while self.peek().text == ",":
-            self.advance()
-            rhs.append(self.fexpr_with_overlap())
+        rhs = self.items(self.fexpr_with_overlap)
         self.expect(")")
         self.expect(";")
-        return ConditionStatement(label, lhs, tuple(rhs))
+        return ConditionStatement(label, lhs, rhs)
 
     def stmt_completion(self) -> CompletionStatement:
-        name = self.expect(kind="name").text
-        self.expect(kind="assign")
-        self.expect("complete")
-        self.expect("(")
-        phis = self.name_list()
-        self.expect(";")
-        Phis = self.name_list()
-        self.expect(")")
-        self.expect(";")
-        return CompletionStatement(name, phis, Phis)
+        return CompletionStatement(*self.definition("complete"))
 
     def stmt_hypotheses(self) -> HypothesesStatement:
-        name = self.expect(kind="name").text
-        self.expect(kind="assign")
-        self.expect("closure")
-        self.expect("(")
-        first = self.expect(kind="name").text
-        self.expect(",")
-        second = self.expect(kind="name").text
-        self.expect(";")
-        comps = self.name_list()
-        self.expect(")")
-        self.expect(";")
-        return HypothesesStatement(name, first, second, comps)
+        name, (first, second), completions = self.definition("closure", 2)
+        return HypothesesStatement(name, first, second, completions)
 
     def stmt_class(self) -> ClassStatement:
-        name = self.expect(kind="name").text
-        self.expect(kind="assign")
-        self.expect("invariant")
-        self.expect("(")
-        phi = self.expect(kind="name").text
-        self.expect(";")
-        comps = self.name_list()
-        self.expect(")")
-        self.expect(";")
-        return ClassStatement(name, phi, comps)
+        name, (phi,), completions = self.definition("invariant", 1)
+        return ClassStatement(name, phi, completions)
 
 
 def parse_text(text: str, filename: str = "<input>") -> list[Statement]:
@@ -458,14 +465,14 @@ def _universal_newlines(text: str) -> str:
 class Session:
     __slots__ = (
         "registry", "ideals", "conditions", "hypothesis_decls", "class_decls",
-        "setup", "bounds", "literal_m", "statements", "filename",
+        "setup", "bounds", "literal_m", "statements",
     )
 
     def __init__(
         self, registry: SymbolRegistry, ideals: IdealRegistry, conditions: list[Condition],
-        hypothesis_decls: dict[str, tuple[str, str, tuple[str, ...]]],
-        class_decls: dict[str, tuple[str, tuple[str, ...]]], setup: VerifierSetup,
-        bounds: IndexBounds, literal_m: bool, statements: list[Statement], filename: str,
+        hypothesis_decls: dict[str, HypothesesStatement],
+        class_decls: dict[str, ClassStatement], setup: VerifierSetup,
+        bounds: IndexBounds, literal_m: bool, statements: list[Statement],
     ):
         self.registry = registry
         self.ideals = ideals
@@ -476,7 +483,6 @@ class Session:
         self.bounds = bounds
         self.literal_m = literal_m
         self.statements = statements
-        self.filename = filename
 
     def factor(self, name: str) -> Factor:
         return Factor(self.registry.get(name))
@@ -491,11 +497,11 @@ class Session:
             name = next(iter(self.hypothesis_decls))
         if name not in self.hypothesis_decls:
             raise NameClash(f"unknown closure set {name!r}")
-        first, second, comps = self.hypothesis_decls[name]
+        decl = self.hypothesis_decls[name]
         return build_closure_set(
-            self.factor(first),
-            self.factor(second),
-            tuple(self.factor(c) for c in comps),
+            self.factor(decl.first),
+            self.factor(decl.second),
+            tuple(self.factor(c) for c in decl.completions),
             self.ideals,
             self.setup,
         )
@@ -503,18 +509,12 @@ class Session:
     def class_parts(self, name: str) -> tuple[Factor, tuple[Factor, ...]]:
         if name not in self.class_decls:
             raise NameClash(f"unknown class {name!r}")
-        phi, comps = self.class_decls[name]
-        return self.factor(phi), tuple(self.factor(c) for c in comps)
+        decl = self.class_decls[name]
+        return self.factor(decl.phi), tuple(self.factor(c) for c in decl.completions)
 
     def class_term(self, name: str) -> Term:
         phi, comps = self.class_parts(name)
         return build_class(phi, comps, self.setup)
-
-
-def _on_off(value: str, key: str) -> bool:
-    if value not in ("on", "off"):
-        raise ValueError(f"{key} wants on or off, got {value!r}")
-    return value == "on"
 
 
 def build_session(
@@ -536,8 +536,8 @@ def build_session(
     bounds = IndexBounds()
     conditions: list[Condition] = []
     completions: set[str] = set()
-    hyps: dict[str, tuple[str, str, tuple[str, ...]]] = {}
-    classes: dict[str, tuple[str, tuple[str, ...]]] = {}
+    hyps: dict[str, HypothesesStatement] = {}
+    classes: dict[str, ClassStatement] = {}
 
     def wrap_kind(letter: str) -> DiffKind:
         return setup.d if letter == "d" else setup.d.other
@@ -557,34 +557,24 @@ def build_session(
         try:
             if isinstance(st, SetStatement):
                 key, value = st.key, st.value
-                if key == "d":
-                    if value not in ("delta", "Delta"):
-                        raise fail(f"d must be delta or Delta, got {value!r}")
-                    setup = dc_replace(setup, d=DiffKind(value))
-                elif key == "sign-mode":
-                    setup = dc_replace(setup, sign=SignMode(value))
-                elif key == "epsilon-mode":
-                    setup = dc_replace(setup, epsilon_mode=EpsilonMode(value))
-                elif key == "xi-mode":
-                    setup = dc_replace(setup, xi_mode=XiMode(value))
-                elif key == "literal-m-coherence":
-                    literal_m = _on_off(value, key)
-                elif key == "Delta-chain-cochain":
-                    setup = dc_replace(
-                        setup,
-                        laws=setup.laws._replace(Delta_chain_cochain=_on_off(value, key)),
-                    )
-                elif key == "commute":
-                    setup = dc_replace(
-                        setup, laws=setup.laws._replace(commute=_on_off(value, key))
-                    )
-                elif key.startswith("bound "):
-                    bound_key = key.split(" ", 1)[1]
-                    if bound_key not in _BOUND_KEYS:
-                        raise fail(f"unknown bound {bound_key!r}")
-                    bounds = bounds._replace(**{_BOUND_KEYS[bound_key]: int(value)})
-                else:
+                if key.startswith("bound "):
+                    bound = key.split(" ", 1)[1]
+                    if bound not in _BOUNDS:
+                        raise fail(f"unknown bound {bound!r}")
+                    bounds = bounds._replace(**{_BOUNDS[bound]: int(value)})
+                elif key not in SETTINGS:
                     raise fail(f"unknown setting {key!r}")
+                else:
+                    field, values = SETTINGS[key]
+                    if value not in values:
+                        raise fail(f"{key} must be {' or '.join(values)}, got {value!r}")
+                    if field == "literal_m":
+                        literal_m = values[value]
+                    elif field in DiffLaws._fields:
+                        laws = setup.laws._replace(**{field: values[value]})
+                        setup = dc_replace(setup, laws=laws)
+                    else:
+                        setup = dc_replace(setup, **{field: values[value]})
             elif isinstance(st, GenStatement):
                 if st.name in ("d", "D"):
                     raise fail(f"generator name {st.name!r} is reserved")
@@ -644,7 +634,7 @@ def build_session(
                     registry.get(n)
                 if len(st.completions) != 4:
                     raise fail("closure needs exactly 4 completion factors")
-                hyps[st.name] = (st.first, st.second, st.completions)
+                hyps[st.name] = st
             elif isinstance(st, ClassStatement):
                 if st.name in classes:
                     raise fail(f"class {st.name!r} already defined")
@@ -652,7 +642,7 @@ def build_session(
                     registry.get(n)
                 if len(st.completions) != 4:
                     raise fail("a class needs exactly 4 completion factors")
-                classes[st.name] = (st.phi, st.completions)
+                classes[st.name] = st
             else:
                 raise fail(f"unhandled statement {type(st).__name__}")
         except GdaSyntaxError:
@@ -662,7 +652,7 @@ def build_session(
 
     return Session(
         registry, ideals, conditions, hyps, classes,
-        setup, bounds, literal_m, list(statements), filename,
+        setup, bounds, literal_m, list(statements),
     )
 
 

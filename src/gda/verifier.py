@@ -447,7 +447,6 @@ def _strip_inner(factor: Factor, setup: VerifierSetup) -> Factor | None:
 
 
 def _single_monomial_ratio(term: Term, mono: Monomial) -> Fraction | None:
-    items = term.items()
-    if len(items) != 1 or items[0][0] != mono:
+    if len(term) != 1:
         return None
-    return items[0][1]
+    return term.coefficient(mono) or None

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, report formats, derive output."""
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from gda.cli import main
+from gda import GdaSyntaxError, build_session
+from gda.cli import _build_parser, main
+from gda.dsl import SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
@@ -330,12 +333,12 @@ def test_set_depth_in_a_session_exits_2(tmp_path, capsys):
 # a bad value for every `set` key, one line down and indented
 BAD_SETTINGS = {
     "d": "d must be delta or Delta, got 'x'",
-    "sign-mode": "'x' is not a valid SignMode",
-    "epsilon-mode": "'x' is not a valid EpsilonMode",
-    "xi-mode": "'x' is not a valid XiMode",
-    "literal-m-coherence": "literal-m-coherence wants on or off, got 'x'",
-    "Delta-chain-cochain": "Delta-chain-cochain wants on or off, got 'x'",
-    "commute": "commute wants on or off, got 'x'",
+    "sign-mode": "sign-mode must be paper or koszul, got 'x'",
+    "epsilon-mode": "epsilon-mode must be pair or drop, got 'x'",
+    "xi-mode": "xi-mode must be sum or pairs, got 'x'",
+    "literal-m-coherence": "literal-m-coherence must be on or off, got 'x'",
+    "Delta-chain-cochain": "Delta-chain-cochain must be on or off, got 'x'",
+    "commute": "commute must be on or off, got 'x'",
     **{
         f"bound {bound}": "invalid literal for int() with base 10: 'x'"
         for bound in ("n-min", "n-max", "m-min", "m-max", "kappa-min", "kappa-max")
@@ -351,6 +354,53 @@ def test_bad_setting_value_exits_2_at_its_position(key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{session}:2:3: error: {BAD_SETTINGS[key]}\n"
+
+
+def test_bad_settings_cover_every_set_key():
+    bounds = {key for key in BAD_SETTINGS if key.startswith("bound ")}
+    assert set(BAD_SETTINGS) - bounds == set(SETTINGS)
+
+
+def _flags(command):
+    """The parser's --flags of a subcommand, by name without the dashes."""
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        option[2:]: action
+        for action in subparsers.choices[command]._actions
+        for option in action.option_strings
+    }
+
+
+def _accepted(key, value):
+    try:
+        build_session([], settings={key: value})
+    except GdaSyntaxError:
+        return False
+    return True
+
+
+# every value some flag offers, and values none does
+CANDIDATES = sorted({v for s in SETTINGS.values() for v in s.values} | {"x", "ON", "Pair", ""})
+
+
+@pytest.mark.parametrize("command", ["check", "verify-class", "verify-independence", "model-check"])
+def test_session_flags_offer_exactly_their_set_values(command):
+    flags = {key: action for key, action in _flags(command).items() if key in SETTINGS}
+    assert sorted(flags) == ["d", "epsilon-mode", "literal-m-coherence", "sign-mode", "xi-mode"]
+    for key, action in flags.items():
+        accepted = [value for value in CANDIDATES if _accepted(key, value)]
+        if action.choices is None:
+            # a switch gives one of the values
+            assert action.const in accepted, key
+        else:
+            assert sorted(action.choices) == accepted, key
+
+
+def test_derive_flags_offer_exactly_their_set_values():
+    flags = _flags("derive")
+    for key in ("sign-mode", "d"):
+        assert sorted(flags[key].choices) == [v for v in CANDIDATES if _accepted(key, v)]
 
 
 @pytest.mark.parametrize("command", ["check", "print"])

@@ -268,7 +268,9 @@ def test_wrapped_overlap_parses_and_renders():
     ("class C := invariant(phi;", "1:26: error: expected a name, got end of input"),
     ("class C := invariant(phi; P1", "1:29: error: expected ')', got end of input"),
     ("class C := invariant(phi; P1)", "1:30: error: expected ';', got end of input"),
-    ("class C = invariant(phi; P1);", "1:9: error: expected a assign, got '='"),
+    ("class C = invariant(phi; P1);", "1:9: error: expected ':=', got '='"),
+    ("class C invariant(phi; P1);", "1:9: error: expected ':=', got 'invariant'"),
+    ("hypotheses H = closure(phi, eta; P1);", "1:14: error: expected ':=', got '='"),
     ("completion C := complete(; P1);", "1:26: error: expected a name, got ';'"),
     ("completion C := complete(phi; P1,);", "1:34: error: expected a name, got ')'"),
     ("completion C := complete(phi, ; P1);", "1:31: error: expected a name, got ';'"),

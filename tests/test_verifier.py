@@ -346,3 +346,24 @@ def test_closure_set_digests_are_frozen():
                 digest.update(f"{h.tag}\n{render_term(h.term)}\n".encode())
         digests[sign.value, eps.value, xi.value] = digest.hexdigest()
     assert digests == CLOSURE_SET_DIGESTS
+
+
+@pytest.mark.parametrize("sign", ["paper", "koszul"])
+@pytest.mark.parametrize("eps, class_arity, hypothesis_arity", [("pair", 7, 10), ("drop", 6, 8)])
+def test_pairs_mode_hypotheses_never_fire(sign, eps, class_arity, hypothesis_arity):
+    # in pairs mode every content of a hypothesis is a product of two
+    # factors, so no hypothesis matches a monomial of the class
+    # differential and the verdict rests on laws and ideals alone: a known
+    # fault, documented in README "Modes"
+    settings = {"sign-mode": sign, "epsilon-mode": eps, "xi-mode": "pairs"}
+    session = load_session(CLASS_FILE, settings)
+    closure_set = session.closure_set("H")
+    class_term = session.class_term("INV")
+    d_class = apply_differential(D, class_term, session.setup.sign)
+    assert {m.arity for m, _ in d_class.summands()} == {class_arity}
+    assert {m.arity for h in closure_set.conditions for m, _ in h.term.summands()} == {
+        hypothesis_arity
+    }
+    report = verify_cocycle(class_term, closure_set, session.ideals, session.setup)
+    assert report.status == "fail"
+    assert not [s for s in report.trace if s.rule.startswith("hypothesis:")]
