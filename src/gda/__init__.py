@@ -87,7 +87,6 @@ from .verifier import (
     ClosureSet,
     VerificationReport,
     VerifierSetup,
-    XiMode,
     build_class,
     build_closure_set,
     cancel_hypotheses,

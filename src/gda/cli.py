@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--report", choices=["text", "json"], default="text")
     session = argparse.ArgumentParser(add_help=False, parents=[report])
     session.add_argument("file")
-    for key in ("sign-mode", "epsilon-mode", "xi-mode", "d"):
+    for key in ("sign-mode", "epsilon-mode", "d"):
         session.add_argument(f"--{key}", choices=SETTINGS[key].values, help=f"as `set {key}`")
     session.add_argument("--literal-m-coherence", action="store_const", const="on",
                          help="as `set literal-m-coherence on`")

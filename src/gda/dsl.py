@@ -32,7 +32,6 @@ from .terms import (
 from .verifier import (
     ClosureSet,
     VerifierSetup,
-    XiMode,
     build_class,
     build_closure_set,
 )
@@ -58,7 +57,6 @@ SETTINGS = {
     "d": Setting("d", _by_text(DiffKind)),
     "sign-mode": Setting("sign", _by_text(SignMode)),
     "epsilon-mode": Setting("epsilon_mode", _by_text(EpsilonMode)),
-    "xi-mode": Setting("xi_mode", _by_text(XiMode)),
     "literal-m-coherence": Setting("literal_m", _ON_OFF),
     "Delta-chain-cochain": Setting("Delta_chain_cochain", _ON_OFF),
     "commute": Setting("commute", _ON_OFF),
@@ -526,7 +524,8 @@ def build_session(
 
     settings maps ``set`` keys to values.  They act as ``set`` lines
     ahead of the file, and the file's own ``set`` lines for those keys
-    are skipped, so a setting wins over the file.
+    are skipped, so a setting wins over the file.  Every ``set`` line
+    acts before any declaration, wherever it stands in the file.
     """
     settings = dict(settings or {})
     registry = SymbolRegistry()
@@ -550,10 +549,9 @@ def build_session(
         return GdaSyntaxError(message, st.line, st.column, filename)
 
     given = [SetStatement(key, value) for key, value in settings.items()]
-    for st in given + [
-        s for s in statements
-        if not (isinstance(s, SetStatement) and s.key in settings)
-    ]:
+    kept = [s for s in statements if not (isinstance(s, SetStatement) and s.key in settings)]
+    kept.sort(key=lambda s: not isinstance(s, SetStatement))  # stable: file order within each
+    for st in given + kept:
         try:
             if isinstance(st, SetStatement):
                 key, value = st.key, st.value
@@ -561,6 +559,8 @@ def build_session(
                     bound = key.split(" ", 1)[1]
                     if bound not in _BOUNDS:
                         raise fail(f"unknown bound {bound!r}")
+                    if not re.fullmatch(r"-?\d+", value):
+                        raise fail(f"bound {bound} must be an integer, got {value!r}")
                     bounds = bounds._replace(**{_BOUNDS[bound]: int(value)})
                 elif key not in SETTINGS:
                     raise fail(f"unknown setting {key!r}")

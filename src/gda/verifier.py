@@ -15,7 +15,6 @@ monomials is present with one common coefficient ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -40,17 +39,11 @@ from .terms import (
 )
 
 
-class XiMode(str, Enum):
-    sum_enriched = "sum"
-    ordered_pairs = "pairs"
-
-
 @dataclass(frozen=True)
 class VerifierSetup:
     d: DiffKind = DiffKind.delta
     sign: SignMode = SignMode.paper_literal
     epsilon_mode: EpsilonMode = EpsilonMode.pair
-    xi_mode: XiMode = XiMode.sum_enriched
     laws: DiffLaws = DEFAULT_LAWS
 
     @property
@@ -216,29 +209,19 @@ def build_closure_set(
             )
     phi_t = Term.from_factor(phi)
     psi_t = Term.from_factor(psi)
-    p, q = phi.generator.name, psi.generator.name
-    if setup.xi_mode is XiMode.sum_enriched:
-        add(phi_t, psi_t)  # HeterogeneousSum unless phi and psi share an index
-        bases = [(p, phi_t), (q, psi_t)]
-        # a condition is linear in each content, so a phi+psi slot is the
-        # sum of its phi and psi conditions and only those are expanded
-        options = [(0,), (1,), (0, 1)]
-    else:
-        bases = [
-            (f"{p}*{p}", multiply([phi_t, phi_t])),
-            (f"{p}*{q}", multiply([phi_t, psi_t])),
-            (f"{q}*{q}", multiply([psi_t, psi_t])),
-        ]
-        options = [(0,), (1,), (2,)]
+    add(phi_t, psi_t)  # HeterogeneousSum unless phi and psi share an index
+    bases = [(phi.generator.name, phi_t), (psi.generator.name, psi_t)]
+    # a condition is linear in each content, so a phi+psi slot is the sum
+    # of its phi and psi conditions and only those are expanded
     expanded = {
         (i1, i2, i3, level): _closure_condition(
             setup, completions, bases[i1][1], bases[i2][1], bases[i3][1], level
         )
-        for i1, i2, i3 in product(range(len(bases)), repeat=3)
+        for i1, i2, i3 in product((0, 1), repeat=3)
         for level in (0, 1)
     }
     closure_set = ClosureSet()
-    for firsts, seconds, thirds in product(options, repeat=3):
+    for firsts, seconds, thirds in product([(0,), (1,), (0, 1)], repeat=3):
         names = tuple("+".join(bases[i][0] for i in part) for part in (firsts, seconds, thirds))
         if setup.epsilon_mode is EpsilonMode.drop:
             # the first content is left out of the layout, so the slot-1
@@ -374,10 +357,6 @@ def verify_independence(
     if setup.epsilon_mode is not EpsilonMode.pair:
         raise LayoutError(
             "primitive reconstruction needs the paired layout (epsilon mode pair)"
-        )
-    if setup.xi_mode is not XiMode.sum_enriched:
-        raise LayoutError(
-            "primitive reconstruction needs single-element closure conditions (xi mode sum)"
         )
     phi_t = Term.from_factor(phi)
     eta_t = Term.from_factor(eta)

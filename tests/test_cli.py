@@ -136,21 +136,6 @@ def test_verify_independence_ok(capsys):
     assert "status: ok" in out
 
 
-def test_verify_independence_in_pairs_mode_is_config_error(capsys):
-    # pairs hypotheses are tagged by products (phi*eta|...), which the
-    # single-element lookup of the primitive reconstruction never matches
-    rc = main([
-        "verify-independence", CLASS_FILE,
-        "--class", "INV", "--eta", "eta", "--xi-mode", "pairs",
-    ])
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
-    assert captured.err == (
-        "error: primitive reconstruction needs single-element closure"
-        " conditions (xi mode sum)\n"
-    )
-
-
 def test_model_check_runs_and_respects_seed(capsys):
     assert main(["model-check", CLASS_FILE, "--trials", "5", "--seed", "9"]) == 0
     first = capsys.readouterr().out
@@ -240,7 +225,6 @@ SESSION_COMMANDS = {
 SESSION_FLAGS = {
     "--sign-mode koszul": "set sign-mode koszul;",
     "--epsilon-mode drop": "set epsilon-mode drop;",
-    "--xi-mode pairs": "set xi-mode pairs;",
     "--d Delta": "set d Delta;",
     "--literal-m-coherence": "set literal-m-coherence on;",
 }
@@ -315,6 +299,7 @@ def test_model_check_samples_closed_generators_in_the_kernel(flags, capsys):
     ["model-check", CLASS_FILE, "--field", "gf2"],
     ["print", CLASS_FILE, "--report", "json"],
     ["derive", "--start", "(00)", "--epsilon-mode", "drop"],
+    ["verify-class", CLASS_FILE, "--class", "INV", "--xi-mode", "sum"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -324,10 +309,13 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
 
 
 def test_set_depth_in_a_session_exits_2(tmp_path, capsys):
-    session = tmp_path / "depth.gda"
-    session.write_text("set depth 4;\n")
-    assert main(["check", str(session)]) == 2
-    assert "depth.gda:1:1: error: unknown setting 'depth'" in capsys.readouterr().err
+    # neither key is a session setting: depth is a derive flag, and closure
+    # conditions have one layout, so there is no xi mode to choose
+    for key, value in (("depth", "4"), ("xi-mode", "sum")):
+        session = tmp_path / "depth.gda"
+        session.write_text(f"set {key} {value};\n")
+        assert main(["check", str(session)]) == 2
+        assert f"depth.gda:1:1: error: unknown setting '{key}'" in capsys.readouterr().err
 
 
 # a bad value for every `set` key, one line down and indented
@@ -335,12 +323,11 @@ BAD_SETTINGS = {
     "d": "d must be delta or Delta, got 'x'",
     "sign-mode": "sign-mode must be paper or koszul, got 'x'",
     "epsilon-mode": "epsilon-mode must be pair or drop, got 'x'",
-    "xi-mode": "xi-mode must be sum or pairs, got 'x'",
     "literal-m-coherence": "literal-m-coherence must be on or off, got 'x'",
     "Delta-chain-cochain": "Delta-chain-cochain must be on or off, got 'x'",
     "commute": "commute must be on or off, got 'x'",
     **{
-        f"bound {bound}": "invalid literal for int() with base 10: 'x'"
+        f"bound {bound}": f"bound {bound} must be an integer, got 'x'"
         for bound in ("n-min", "n-max", "m-min", "m-max", "kappa-min", "kappa-max")
     },
 }
@@ -387,7 +374,7 @@ CANDIDATES = sorted({v for s in SETTINGS.values() for v in s.values} | {"x", "ON
 @pytest.mark.parametrize("command", ["check", "verify-class", "verify-independence", "model-check"])
 def test_session_flags_offer_exactly_their_set_values(command):
     flags = {key: action for key, action in _flags(command).items() if key in SETTINGS}
-    assert sorted(flags) == ["d", "epsilon-mode", "literal-m-coherence", "sign-mode", "xi-mode"]
+    assert sorted(flags) == ["d", "epsilon-mode", "literal-m-coherence", "sign-mode"]
     for key, action in flags.items():
         accepted = [value for value in CANDIDATES if _accepted(key, value)]
         if action.choices is None:

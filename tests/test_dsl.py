@@ -2,6 +2,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gda import (
     DiffKind,
@@ -14,6 +15,16 @@ from gda import (
     load_session,
     parse_text,
     print_session,
+)
+from gda.dsl import (
+    SETTINGS,
+    ClassStatement,
+    CompletionStatement,
+    FactorExpr,
+    GenStatement,
+    HypothesesStatement,
+    IdealStatement,
+    SetStatement,
 )
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
@@ -98,15 +109,26 @@ def test_gen_reserved_names_and_flags():
 
 
 def test_gen_dclosed_follows_session_differential():
-    # with d = Delta the dclosed flag tracks Delta, not delta
-    s = build("set d Delta;\ngen a index (0,0,0) flags [dclosed];")
-    assert s.registry.get("a").closed_under(DiffKind.Delta)
-    assert not s.registry.get("a").closed_under(DiffKind.delta)
+    # with d = Delta the dclosed flag tracks Delta, not delta; a set line
+    # acts before every declaration, wherever it stands
+    for text in (
+        "set d Delta;\ngen a index (0,0,0) flags [dclosed];",
+        "gen a index (0,0,0) flags [dclosed];\nset d Delta;",
+    ):
+        s = build(text)
+        assert s.registry.get("a").closed_under(DiffKind.Delta)
+        assert not s.registry.get("a").closed_under(DiffKind.delta)
 
 
 def test_gen_respects_bounds():
-    with pytest.raises(GdaSyntaxError, match="below bound"):
-        build("set bound n-min 0;\ngen a index (-1,0,0);")
+    # a late bound still checks the generators above it, at their line
+    for text, line in (
+        ("set bound n-min 0;\ngen a index (-1,0,0);", 2),
+        ("gen a index (-1,0,0);\nset bound n-min 0;", 1),
+    ):
+        with pytest.raises(GdaSyntaxError, match="below bound") as err:
+            build(text)
+        assert err.value.line == line
 
 
 def test_ideal_statement_registers_membership():
@@ -141,13 +163,15 @@ def test_condition_statement_checks_label():
 
 
 def test_condition_statement_checks_coherence():
-    text = (
-        "gen g index (0,0,0);\n"
-        "gen p index (0,1,0);\n"
-        "condition (0) d(g) = (p);\n"
-    )
-    with pytest.raises(GdaSyntaxError):
-        build(text)
+    for text in (
+        "gen g index (0,0,0);\ngen p index (0,1,0);\ncondition (0) d(g) = (p);\n",
+        # coherent in m = sum m_j - t_j, not in the literal m = sum n_j - t_j,
+        # which a late set line still selects
+        "gen g index (-2,0,0);\ngen p index (0,1,0);\ncondition (0) d(g) = (p[r=1,t=2]);\n"
+        "set literal-m-coherence on;\n",
+    ):
+        with pytest.raises(GdaSyntaxError):
+            build(text)
 
 
 def test_condition_statement_accepts_coherent_declaration():
@@ -229,6 +253,45 @@ def test_print_session_round_trips_shipped_files():
     for path in sorted(SESSIONS.glob("*.gda")):
         text = path.read_text()
         assert print_session(parse_text(text)) == text, path.name
+
+
+# deterministic and small: these run with the rest of tier-1
+kernel = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+
+# each kind of token a name can meet, and the reserved d and D
+names = st.sampled_from(["a", "phi", "eta", "Phi1", "x_2", "b'", "_", "index", "d", "D"])
+small = st.integers(-3, 3)
+name_lists = st.lists(names, min_size=1, max_size=5).map(tuple)
+set_lines = st.one_of(
+    st.sampled_from([(key, value) for key, s in SETTINGS.items() for value in s.values]),
+    st.tuples(
+        st.sampled_from(["n-min", "n-max", "m-min", "m-max", "kappa-min", "kappa-max"]),
+        small.map(str),
+    ).map(lambda kv: (f"bound {kv[0]}", kv[1])),
+).map(lambda kv: SetStatement(*kv))
+gen_lines = st.tuples(
+    names, st.tuples(small, small, small),
+    st.lists(st.sampled_from(["dclosed", "Dclosed", "picked", "completion"]), max_size=2),
+).map(lambda g: GenStatement(g[0], Index(*g[1]), tuple(g[2])))
+ideal_lines = st.tuples(
+    st.sampled_from(["nonlocal2", "local2", "square2"]), names,
+    st.lists(st.sampled_from("dD"), max_size=3),
+).map(lambda i: IdealStatement(i[0], FactorExpr(i[1], tuple(i[2]))))
+definition_lines = st.one_of(
+    st.tuples(names, name_lists, name_lists).map(lambda c: CompletionStatement(*c)),
+    st.tuples(names, names, names, name_lists).map(lambda h: HypothesesStatement(*h)),
+    st.tuples(names, names, name_lists).map(lambda c: ClassStatement(*c)),
+)
+sessions = st.lists(st.one_of(set_lines, gen_lines, ideal_lines, definition_lines), max_size=8)
+
+
+@kernel
+@given(sessions)
+def test_printed_sessions_parse_back_to_the_same_statements(statements):
+    text = print_session(statements)
+    parsed = parse_text(text)
+    assert parsed == statements
+    assert print_session(parsed) == text
 
 
 def test_load_session_carries_filename_into_errors(tmp_path):

@@ -1,12 +1,15 @@
 """Property tests of the term kernel: value equality with cached hashes,
-sorted iteration, and exact cancellation."""
+sorted iteration, exact cancellation, and idempotent ideal reduction."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from gda import (
     DiffKind,
+    DiffLaws,
     Factor,
+    IdealKind,
+    IdealRegistry,
     Index,
     Monomial,
     SignMode,
@@ -133,3 +136,23 @@ def test_no_stored_coefficient_is_zero(s, t, q, u, v, w):
     for term in results:
         assert all(coeff != 0 and type(coeff) is Fraction for coeff in stored(term))
     assert multiply([left, right]) == Term({concat(u, w): -1, concat(u, v, v, w): 1})
+
+
+laws = st.builds(DiffLaws, st.booleans(), st.booleans())
+member_kinds = st.sampled_from([None, *IdealKind])
+
+
+@kernel
+@given(terms, laws, st.data())
+def test_reducing_a_reduced_term_deletes_nothing(term, laws, data):
+    # members are drawn from the term's own factors, so the first pass
+    # usually deletes something
+    ideals = IdealRegistry()
+    for factor in sorted({f for mono, _ in term.summands() for f in mono.factors}, key=str):
+        kind = data.draw(member_kinds)
+        if kind is not None:
+            ideals.register(kind, factor, laws)
+    reduced, _ = ideals.reduce_with_trace(term, laws)
+    again, deleted = ideals.reduce_with_trace(reduced, laws)
+    assert deleted == []
+    assert again == reduced

@@ -14,13 +14,10 @@ from gda import (
     IdealKind,
     IdealRegistry,
     Index,
-    LayoutError,
     SignMode,
     SymbolRegistry,
     Term,
     VerifierSetup,
-    XiMode,
-    add,
     apply_differential,
     build_class,
     build_closure_set,
@@ -33,7 +30,6 @@ from gda import (
     verify_independence,
 )
 
-D = DiffKind.delta
 CLASS_FILE = Path(__file__).resolve().parent.parent / "sessions" / "invariant_class.gda"
 
 COMPLETION_INDICES = [
@@ -125,15 +121,6 @@ def test_closure_find_and_without():
     smaller = closure_set.without(h.tag)
     assert len(smaller.conditions) == 53
     assert smaller.find(("phi", "eta", "phi"), 0) is None
-
-
-def test_closure_pairs_mode_tags_are_products():
-    setup = VerifierSetup(xi_mode=XiMode.ordered_pairs)
-    reg, phi, eta, comps, ideals, setup = standard_context(setup)
-    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
-    tags = {h.tag for h in closure_set.conditions}
-    assert any(tag.startswith("phi*eta|") for tag in tags)
-    assert len(closure_set.conditions) == 54
 
 
 def test_cancel_hypotheses_removes_matching_combination():
@@ -248,16 +235,6 @@ def test_verify_independence_ablation_names_the_cross():
     )
 
 
-def test_verify_independence_refuses_pairs_mode():
-    # the primitive is looked up by single-element assignments, and pairs
-    # hypotheses are tagged by products, so no lookup could match
-    setup = VerifierSetup(xi_mode=XiMode.ordered_pairs)
-    reg, phi, eta, comps, ideals, setup = standard_context(setup)
-    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
-    with pytest.raises(LayoutError, match=r"xi mode sum"):
-        verify_independence(phi, eta, comps, closure_set, ideals, setup)
-
-
 def test_report_to_json_contract():
     reg, phi, eta, comps, ideals, setup = standard_context()
     closure_set = build_closure_set(phi, eta, comps, ideals, setup)
@@ -270,35 +247,22 @@ def test_report_to_json_contract():
     assert all(set(step) == {"rule", "before", "after"} for step in payload["trace"])
 
 
-# per (sign mode, epsilon mode, xi mode): sha256 over every closure
-# hypothesis (tag, then rendered term) that the contexts below produce,
-# frozen from the fully expanded build; a construction shortcut that
-# changes any hypothesis changes its digest
+# per (sign mode, epsilon mode): sha256 over every closure hypothesis
+# (tag, then rendered term) that the contexts below produce, frozen from
+# the fully expanded build; a construction shortcut that changes any
+# hypothesis changes its digest
 CLOSURE_SET_DIGESTS = {
-    ("paper", "pair", "sum"): (
+    ("paper", "pair"): (
         "6d45a359389b63801693fd15bb0d7f9111cfbbccf5a590d316bd0b340b6320e9"
     ),
-    ("paper", "pair", "pairs"): (
-        "5478b212a053e2b713164116171330f42e21e47be49a00bb31c9566ebc3ae26d"
-    ),
-    ("paper", "drop", "sum"): (
+    ("paper", "drop"): (
         "c7e1e43e49337237452e36bbdb2150d1faa3d9fa085e6b8a18d0f0ac01d09512"
     ),
-    ("paper", "drop", "pairs"): (
-        "91684dde0e1e68388e39ab9511cfb72327dd0848370685b6ed91e53870af8dbb"
-    ),
-    ("koszul", "pair", "sum"): (
+    ("koszul", "pair"): (
         "116141a9fa34fb9fdf8360a9e67ebc1010fd4e39624d444f0718472c4d8fbed6"
     ),
-    # D on the two-factor first content takes its sign from kappa
-    ("koszul", "pair", "pairs"): (
-        "813c72a76d070c88e8e13c0baaa6ca94dbffb15a45b2a03655e87397c3f74102"
-    ),
-    ("koszul", "drop", "sum"): (
+    ("koszul", "drop"): (
         "2fad84b142191028b1d17f78f25e1e4546990123b00b478ad3fe733e53df8ef7"
-    ),
-    ("koszul", "drop", "pairs"): (
-        "6ed822a9a8e84a4689396eb7ba7e3bc979487bf6f500590efe58b6450fdcd399"
     ),
 }
 
@@ -330,40 +294,18 @@ def _digest_contexts(setup):
     session = load_session(CLASS_FILE, {
         "sign-mode": setup.sign.value,
         "epsilon-mode": setup.epsilon_mode.value,
-        "xi-mode": setup.xi_mode.value,
     })
     yield session.closure_set("H")
 
 
 def test_closure_set_digests_are_frozen():
     digests = {}
-    for sign, eps, xi in itertools.product(SignMode, EpsilonMode, XiMode):
-        setup = VerifierSetup(sign=sign, epsilon_mode=eps, xi_mode=xi)
+    for sign, eps in itertools.product(SignMode, EpsilonMode):
+        setup = VerifierSetup(sign=sign, epsilon_mode=eps)
         digest = hashlib.sha256()
         for closure_set in _digest_contexts(setup):
             assert len(closure_set.conditions) == 54
             for h in closure_set.conditions:
                 digest.update(f"{h.tag}\n{render_term(h.term)}\n".encode())
-        digests[sign.value, eps.value, xi.value] = digest.hexdigest()
+        digests[sign.value, eps.value] = digest.hexdigest()
     assert digests == CLOSURE_SET_DIGESTS
-
-
-@pytest.mark.parametrize("sign", ["paper", "koszul"])
-@pytest.mark.parametrize("eps, class_arity, hypothesis_arity", [("pair", 7, 10), ("drop", 6, 8)])
-def test_pairs_mode_hypotheses_never_fire(sign, eps, class_arity, hypothesis_arity):
-    # in pairs mode every content of a hypothesis is a product of two
-    # factors, so no hypothesis matches a monomial of the class
-    # differential and the verdict rests on laws and ideals alone: a known
-    # fault, documented in README "Modes"
-    settings = {"sign-mode": sign, "epsilon-mode": eps, "xi-mode": "pairs"}
-    session = load_session(CLASS_FILE, settings)
-    closure_set = session.closure_set("H")
-    class_term = session.class_term("INV")
-    d_class = apply_differential(D, class_term, session.setup.sign)
-    assert {m.arity for m, _ in d_class.summands()} == {class_arity}
-    assert {m.arity for h in closure_set.conditions for m, _ in h.term.summands()} == {
-        hypothesis_arity
-    }
-    report = verify_cocycle(class_term, closure_set, session.ideals, session.setup)
-    assert report.status == "fail"
-    assert not [s for s in report.trace if s.rule.startswith("hypothesis:")]
