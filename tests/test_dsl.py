@@ -258,7 +258,7 @@ def test_print_session_round_trips_shipped_files():
 # deterministic and small: these run with the rest of tier-1
 kernel = settings(max_examples=20, derandomize=True, database=None, deadline=None)
 
-# each kind of token a name can meet, and the reserved d and D
+# plain names, a prime, a keyword, and the d and D that also wrap factors
 names = st.sampled_from(["a", "phi", "eta", "Phi1", "x_2", "b'", "_", "index", "d", "D"])
 small = st.integers(-3, 3)
 name_lists = st.lists(names, min_size=1, max_size=5).map(tuple)

@@ -138,15 +138,15 @@ def test_no_stored_coefficient_is_zero(s, t, q, u, v, w):
     assert multiply([left, right]) == Term({concat(u, w): -1, concat(u, v, v, w): 1})
 
 
-laws = st.builds(DiffLaws, st.booleans(), st.booleans())
+law_sets = st.builds(DiffLaws, st.booleans(), st.booleans())
 member_kinds = st.sampled_from([None, *IdealKind])
 
 
 @kernel
-@given(terms, laws, st.data())
+@given(terms, law_sets, st.data())
 def test_reducing_a_reduced_term_deletes_nothing(term, laws, data):
     # members are drawn from the term's own factors, so the first pass
-    # usually deletes something
+    # often deletes something
     ideals = IdealRegistry()
     for factor in sorted({f for mono, _ in term.summands() for f in mono.factors}, key=str):
         kind = data.draw(member_kinds)
