@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 from typing import Collection
 
 from .errors import SlotError
@@ -63,6 +62,16 @@ def classify_push(
     return Factor(factor.generator, canon), None
 
 
+def _push(factor: Factor, kind: DiffKind, laws: DiffLaws) -> tuple[Factor | None, str | None, bool]:
+    """classify_push and the parity of the degree kind moves, kept on
+    the factor under (kind, laws) so each is decided once."""
+    pushed, reason = classify_push(factor, kind, laws)
+    index = factor.effective_index
+    odd = (index.n if kind is DiffKind.delta else index.kappa) % 2 == 1
+    entry = factor._pushes[kind, laws] = (pushed, reason, odd)
+    return entry
+
+
 def apply_differential(
     kind: DiffKind,
     term: Term,
@@ -80,7 +89,7 @@ def apply_differential(
     factor, reason), in term order.
     """
     koszul = sign is SignMode.koszul
-    degree = attrgetter("n" if kind is DiffKind.delta else "kappa")
+    key = (kind, laws)
     wanted = None if slots is None else frozenset(slots)
     if wanted and term:
         # the shortest monomial is the first in term order to reject a slot
@@ -95,8 +104,8 @@ def apply_differential(
         factors = monomial.factors
         odd = False
         for pos, factor in enumerate(factors, 1):
+            pushed, reason, parity = factor._pushes.get(key) or _push(factor, kind, laws)
             if wanted is None or pos in wanted:
-                pushed, reason = classify_push(factor, kind, laws)
                 if pushed is None:
                     if kills is not None:
                         kills.append((pos, factor, reason))
@@ -105,7 +114,7 @@ def apply_differential(
                     signed = -coeff if odd else coeff
                     total = out.get(new)
                     out[new] = signed if total is None else total + signed
-            if koszul and degree(factor.effective_index) % 2:
+            if koszul and parity:
                 odd = not odd
     return Term._from_normal({m: c for m, c in out.items() if c})
 

@@ -43,28 +43,43 @@ class IdealRegistry:
     def __init__(self):
         # insertion-ordered so listings and reports are deterministic
         self._members: dict[IdealKind, dict[Factor, None]] = {k: {} for k in IdealKind}
+        # per laws, per factor: (laws kill its stack, nonlocal2, local2, square2)
+        self._facts: dict[DiffLaws, dict[Factor, tuple[bool, bool, bool, bool]]] = {}
 
     def register(self, kind: IdealKind, pattern: Factor, laws: DiffLaws = DEFAULT_LAWS) -> None:
         canon = Factor(pattern.generator, canonical_stack(pattern.diffs, laws))
         self._members[IdealKind(kind)][canon] = None
+        self._facts.clear()
 
     def is_member(self, kind: IdealKind, factor: Factor) -> bool:
         return factor in self._members[IdealKind(kind)]
 
     def monomial_vanishes(self, monomial: Monomial, laws: DiffLaws = DEFAULT_LAWS) -> str | None:
         """Reason the monomial is deleted, or None if it survives."""
-        for f in monomial.factors:
-            if stack_vanishes(canonical_stack(f.diffs, laws), laws):
+        known = self._facts.get(laws)
+        if known is None:
+            known = self._facts[laws] = {}
+        members = self._members
+        factors = monomial.factors
+        rows = []
+        for f in factors:
+            row = known.get(f)
+            if row is None:
+                row = known[f] = (
+                    stack_vanishes(canonical_stack(f.diffs, laws), laws),
+                    f in members[IdealKind.nonlocal2],
+                    f in members[IdealKind.local2],
+                    f in members[IdealKind.square2],
+                )
+            if row[0]:
                 return "law:square"
-        nonlocal2 = self._members[IdealKind.nonlocal2]
-        local2 = self._members[IdealKind.local2]
-        square2 = self._members[IdealKind.square2]
-        if sum(1 for f in monomial.factors if f in nonlocal2) >= 2:
+            rows.append(row)
+        if sum(row[1] for row in rows) >= 2:
             return "ideal:nonlocal2"
-        for a, b in zip(monomial.factors, monomial.factors[1:]):
-            if a in local2 and b in local2:
+        for a, b, row_a, row_b in zip(factors, factors[1:], rows, rows[1:]):
+            if row_a[2] and row_b[2]:
                 return "ideal:local2"
-            if a == b and a in square2:
+            if row_a[3] and a == b:
                 return "ideal:square2"
         return None
 

@@ -15,9 +15,10 @@ coefficient that is not an int or a Fraction raises TypeError.
 
 Indices, laws, bounds and generator symbols are named tuples.  Factors
 and monomials are frozen slotted values that compute their hash once and
-their sort key on first use.  A term is a dict from monomial to nonzero
-coefficient: items() sorts it for everything that shows an order
-(rendering, traces), summands() leaves it unsorted for sums and lookups.
+their sort key on first use; equal factors are shared through one table.
+A term is a dict from monomial to nonzero coefficient: items() sorts it
+for everything that shows an order (rendering, traces), summands() leaves
+it unsorted for sums and lookups.
 """
 from __future__ import annotations
 
@@ -164,22 +165,38 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
 
 
+# equal factors built while the table holds one are one object; the table
+# is emptied at its cap, so its size stays bounded, and equality stays by
+# value, so a factor built after a clear equals one built before it
+FACTOR_TABLE_CAP = 1 << 15
+_FACTORS: dict[tuple[GeneratorSymbol, tuple[DiffKind, ...]], "Factor"] = {}
+
+
 class Factor:
     """One generator with its applied differentials, innermost first.
 
     The sort key and the hash are computed once, when the factor is
-    built; equality stays by value.
+    built; equality stays by value.  _pushes holds what differentials.py
+    decides about pushing one differential onto this factor.
     """
 
-    __slots__ = ("generator", "diffs", "_key", "_hash")
+    __slots__ = ("generator", "diffs", "_key", "_hash", "_pushes")
     __setattr__ = __delattr__ = _frozen
 
-    def __init__(self, generator: GeneratorSymbol, diffs: tuple[DiffKind, ...] = ()):
+    def __new__(cls, generator: GeneratorSymbol, diffs: tuple[DiffKind, ...] = ()):
+        factor = _FACTORS.get((generator, diffs))
+        if factor is not None:
+            return factor
+        if len(_FACTORS) >= FACTOR_TABLE_CAP:
+            _FACTORS.clear()
+        factor = _FACTORS[generator, diffs] = object.__new__(cls)
         key = (generator.name, tuple(k.value for k in diffs))
-        _set(self, "generator", generator)
-        _set(self, "diffs", diffs)
-        _set(self, "_key", key)
-        _set(self, "_hash", hash(key))
+        _set(factor, "generator", generator)
+        _set(factor, "diffs", diffs)
+        _set(factor, "_key", key)
+        _set(factor, "_hash", hash(key))
+        _set(factor, "_pushes", {})
+        return factor
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -403,9 +420,9 @@ class Term:
         return None
 
     # --- arithmetic ---------------------------------------------------
-    def __add__(self, other: "Term") -> "Term":
+    def _merged(self, summands: Iterable[tuple[Monomial, Fraction]]) -> "Term":
         merged = dict(self._summands)
-        for mono, coeff in other._summands.items():
+        for mono, coeff in summands:
             total = merged.get(mono)
             if total is None:
                 merged[mono] = coeff
@@ -417,11 +434,14 @@ class Term:
                     del merged[mono]
         return Term._from_normal(merged)
 
+    def __add__(self, other: "Term") -> "Term":
+        return self._merged(other._summands.items())
+
     def __neg__(self) -> "Term":
         return Term._from_normal({m: -c for m, c in self._summands.items()})
 
     def __sub__(self, other: "Term") -> "Term":
-        return self + (-other)
+        return self._merged((mono, -coeff) for mono, coeff in other._summands.items())
 
     def __mul__(self, other):
         if isinstance(other, Term):

@@ -12,8 +12,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from gda import (
     DiffKind,
     Factor,

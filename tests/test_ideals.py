@@ -4,6 +4,7 @@ import pytest
 from gda import (
     DEFAULT_LAWS,
     DiffKind,
+    DiffLaws,
     Factor,
     IdealKind,
     IdealRegistry,
@@ -77,6 +78,23 @@ def test_reduce_with_trace_reports_each_deletion(reg):
     assert reduced == Term.from_monomial(alive)
     assert [reason for reason, _ in trace] == ["ideal:nonlocal2"]
     assert trace[0][1] == dead
+
+
+def test_verdicts_follow_new_members_and_other_laws(reg):
+    # the registry decides each factor once per law set; a member registered
+    # later, and a law set not seen before, must both reach those verdicts
+    ir = IdealRegistry()
+    m = Monomial((fac(reg, "a", D), fac(reg, "b"), fac(reg, "a", D)))
+    term = Term.from_monomial(m)
+    assert ir.reduce_with_trace(term) == (term, [])
+    ir.register(IdealKind.nonlocal2, fac(reg, "a", D), DEFAULT_LAWS)
+    reduced, trace = ir.reduce_with_trace(term)
+    assert reduced.is_zero
+    assert trace == [("ideal:nonlocal2", m)]
+    # d.D.d dies only once commuting sorts it to d.d.D
+    stacked = Term.from_monomial(Monomial((fac(reg, "b", D, DiffKind.Delta, D),)))
+    assert ir.reduce_with_trace(stacked, DiffLaws(commute=False)) == (stacked, [])
+    assert ir.reduce_with_trace(stacked, DEFAULT_LAWS)[0].is_zero
 
 
 def test_reduce_applies_square_law(reg):

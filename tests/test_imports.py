@@ -1,12 +1,14 @@
-"""Every name a gda module imports is used in that module."""
+"""Every name a gda module or a test file imports is used in that file."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gda"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gda"
 # the package's __init__ imports only to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +26,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_test_file_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
 

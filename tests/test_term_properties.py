@@ -1,9 +1,11 @@
 """Property tests of the term kernel: value equality with cached hashes,
 sorted iteration, exact cancellation, and idempotent ideal reduction."""
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import gda.terms as terms_module
 from gda import (
     DiffKind,
     DiffLaws,
@@ -16,6 +18,7 @@ from gda import (
     SymbolRegistry,
     Term,
     apply_differential,
+    classify_push,
     multiply,
 )
 
@@ -64,7 +67,10 @@ def stored(term: Term) -> list[Fraction]:
 @kernel
 @given(generators, stacks)
 def test_factor_built_twice_is_equal_with_equal_hash(generator, stack):
-    first, second = Factor(generator, stack), Factor(generator, stack)
+    first = Factor(generator, stack)
+    assert Factor(generator, stack) is first
+    terms_module._FACTORS.clear()
+    second = Factor(generator, stack)
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert first.sort_key() == second.sort_key()
@@ -140,6 +146,53 @@ def test_no_stored_coefficient_is_zero(s, t, q, u, v, w):
 
 law_sets = st.builds(DiffLaws, st.booleans(), st.booleans())
 member_kinds = st.sampled_from([None, *IdealKind])
+
+
+def product_rule(kind, term, sign, laws, slots):
+    """apply_differential written out with classify_push per factor and
+    the parity read from effective_index: (result, kills)."""
+    out, kills = Term(), []
+    for mono, coeff in term.items():
+        odd = False
+        for pos, factor in enumerate(mono.factors, 1):
+            if slots is None or pos in slots:
+                pushed, reason = classify_push(factor, kind, laws)
+                if pushed is None:
+                    kills.append((pos, factor, reason))
+                else:
+                    factors = mono.factors[: pos - 1] + (pushed,) + mono.factors[pos:]
+                    out = out + Term({Monomial(factors, mono.overlaps): -coeff if odd else coeff})
+            index = factor.effective_index
+            if sign is SignMode.koszul and (index.n if kind is D else index.kappa) % 2:
+                odd = not odd
+    return out, kills
+
+
+def rebuilt(term: Term) -> Term:
+    return Term({
+        Monomial(tuple(Factor(f.generator, f.diffs) for f in mono.factors), mono.overlaps): coeff
+        for mono, coeff in term.summands()
+    })
+
+
+@kernel
+@given(terms, law_sets, law_sets, st.booleans(), st.data())
+def test_cached_pushes_give_the_uncached_product_rule(term, laws, other_laws, keep_kills, data):
+    arity = min((mono.arity for mono, _ in term.summands()), default=1)
+    slots = data.draw(st.one_of(st.none(), st.sets(st.integers(1, arity), min_size=1)))
+    # one term pushed under two law sets, so a push kept on a shared factor
+    # is read back under laws other than those it was decided under; once
+    # the table is cleared, the term rebuilt from new factors must agree too
+    for cleared in (False, True):
+        if cleared:
+            terms_module._FACTORS.clear()
+            term = rebuilt(term)
+        for kind, sign, each in itertools.product(DiffKind, SignMode, (other_laws, laws)):
+            kills = [] if keep_kills else None
+            expected, expected_kills = product_rule(kind, term, sign, each, slots)
+            assert apply_differential(kind, term, sign, each, slots, kills) == expected
+            if keep_kills:
+                assert kills == expected_kills
 
 
 @kernel
