@@ -36,9 +36,6 @@ from .verifier import (
     build_closure_set,
 )
 
-_IDEAL_KINDS = ("nonlocal2", "local2", "square2")
-
-
 class Setting(NamedTuple):
     """What a `set` key sets: a VerifierSetup field, a DiffLaws field or
     literal_m; and the values it accepts, by their text."""
@@ -310,7 +307,10 @@ class _Parser:
             self.advance()
             negative = True
         tok = self.expect(kind="number")
-        value = int(tok.text)
+        try:
+            value = int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits
+            raise self.error(f"integer literal too long ({len(tok.text)} digits)", tok) from None
         return -value if negative else value
 
     def index(self) -> Index:
@@ -320,13 +320,16 @@ class _Parser:
         return index
 
     def fexpr(self) -> FactorExpr:
+        # a loop, not recursion, so any depth of wrappers parses
+        wraps: list[str] = []
         tok = self.expect(kind="name")
-        if tok.text in ("d", "D") and self.peek().text == "(":
+        while tok.text in ("d", "D") and self.peek().text == "(":
             self.advance()
-            inner = self.fexpr()
+            wraps.append(tok.text)
+            tok = self.expect(kind="name")
+        for _ in wraps:
             self.expect(")")
-            return FactorExpr(inner.name, inner.wraps + (tok.text,), inner.r, inner.t)
-        return FactorExpr(tok.text)
+        return FactorExpr(tok.text, tuple(reversed(wraps)))
 
     def fexpr_with_overlap(self) -> FactorExpr:
         fe = self.fexpr()
@@ -393,7 +396,7 @@ class _Parser:
 
     def stmt_ideal(self) -> IdealStatement:
         kind = self.expect(kind="name")
-        if kind.text not in _IDEAL_KINDS:
+        if kind.text not in _by_text(IdealKind):
             raise self.error(f"unknown ideal kind {kind.text!r}", kind)
         pattern = self.fexpr()
         self.expect(";")

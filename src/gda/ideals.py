@@ -1,9 +1,10 @@
 """Square-vanishing ideals of order 2 and the factorization moves.
 
 Membership is declared per factor pattern (generator plus exact diff
-stack).  Reduction deletes monomials: two non-local members anywhere,
-two local members side by side, the same square member twice side by
-side, or any factor whose stack the structural laws annihilate.
+stack) that the laws leave alive.  Reduction takes normal terms only,
+as the product rule and normalize() build them, and deletes monomials
+by membership alone: two non-local members anywhere, two local members
+side by side, or the same square member twice side by side.
 
 The factorization moves run the vanishing rules backwards: given a
 single-monomial orthogonality condition, each factor can be expressed
@@ -41,56 +42,38 @@ class IdealRegistry:
     """Session-scoped, append-only store of ideal members."""
 
     def __init__(self):
-        # insertion-ordered so listings and reports are deterministic
+        # one dict per kind; monomial_vanishes unpacks them in IdealKind order
         self._members: dict[IdealKind, dict[Factor, None]] = {k: {} for k in IdealKind}
-        # per laws, per factor: (laws kill its stack, nonlocal2, local2, square2)
-        self._facts: dict[DiffLaws, dict[Factor, tuple[bool, bool, bool, bool]]] = {}
 
     def register(self, kind: IdealKind, pattern: Factor, laws: DiffLaws = DEFAULT_LAWS) -> None:
-        canon = Factor(pattern.generator, canonical_stack(pattern.diffs, laws))
-        self._members[IdealKind(kind)][canon] = None
-        self._facts.clear()
+        stack = canonical_stack(pattern.diffs, laws)
+        if stack_vanishes(stack, laws):
+            raise ValueError(f"ideal pattern {pattern} is killed by the differential laws")
+        self._members[IdealKind(kind)][Factor(pattern.generator, stack)] = None
 
     def is_member(self, kind: IdealKind, factor: Factor) -> bool:
         return factor in self._members[IdealKind(kind)]
 
-    def monomial_vanishes(self, monomial: Monomial, laws: DiffLaws = DEFAULT_LAWS) -> str | None:
+    def monomial_vanishes(self, monomial: Monomial) -> str | None:
         """Reason the monomial is deleted, or None if it survives."""
-        known = self._facts.get(laws)
-        if known is None:
-            known = self._facts[laws] = {}
-        members = self._members
+        nonlocal2, local2, square2 = self._members.values()
         factors = monomial.factors
-        rows = []
-        for f in factors:
-            row = known.get(f)
-            if row is None:
-                row = known[f] = (
-                    stack_vanishes(canonical_stack(f.diffs, laws), laws),
-                    f in members[IdealKind.nonlocal2],
-                    f in members[IdealKind.local2],
-                    f in members[IdealKind.square2],
-                )
-            if row[0]:
-                return "law:square"
-            rows.append(row)
-        if sum(row[1] for row in rows) >= 2:
+        if nonlocal2 and sum(f in nonlocal2 for f in factors) >= 2:
             return "ideal:nonlocal2"
-        for a, b, row_a, row_b in zip(factors, factors[1:], rows, rows[1:]):
-            if row_a[2] and row_b[2]:
-                return "ideal:local2"
-            if row_a[3] and a == b:
-                return "ideal:square2"
+        if local2 or square2:
+            for a, b in zip(factors, factors[1:]):
+                if a in local2 and b in local2:
+                    return "ideal:local2"
+                if a in square2 and a == b:
+                    return "ideal:square2"
         return None
 
-    def reduce_with_trace(
-        self, term: Term, laws: DiffLaws = DEFAULT_LAWS
-    ) -> tuple[Term, list[tuple[str, Monomial]]]:
-        """Reduce and report each deletion as (reason, monomial)."""
+    def reduce_with_trace(self, term: Term) -> tuple[Term, list[tuple[str, Monomial]]]:
+        """Reduce a normal term and report each deletion as (reason, monomial)."""
         kept: dict[Monomial, Fraction] = {}
         deleted: list[tuple[str, Monomial]] = []
         for monomial, coeff in term.summands():
-            reason = self.monomial_vanishes(monomial, laws)
+            reason = self.monomial_vanishes(monomial)
             if reason is None:
                 kept[monomial] = coeff
             else:

@@ -125,9 +125,9 @@ DEFAULT_LAWS = DiffLaws()
 class GeneratorSymbol(NamedTuple):
     """A named generator of the complex, fixed to one space via its index.
 
-    flags carries ideal membership markers (nonlocal2, local2, square2)
-    and closedness declarations (dclosed, Dclosed).  role is one of
-    plain, picked, completion; it is bookkeeping for layouts only.
+    flags carries closedness declarations (dclosed, Dclosed); ideal
+    membership lives in an IdealRegistry.  role is one of plain, picked,
+    completion; it is bookkeeping for layouts only.
     """
 
     name: str
@@ -511,8 +511,9 @@ def multiply(terms: Sequence[Term]) -> Term:
 def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
     """Re-canonicalize factor stacks and drop monomials the laws kill.
 
-    Terms built by the product rule are already normal; this is the safety
-    net for terms assembled directly from raw stacks.
+    Terms built by the product rule are already normal; this is the one
+    place where a term assembled from raw stacks meets the laws, so pass it
+    through here before reducing it modulo the ideals.
     """
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in term.summands():

@@ -36,6 +36,7 @@ from .terms import (
     add,
     multiply,
     render_term,
+    stack_vanishes,
 )
 
 
@@ -290,10 +291,9 @@ def reduce_modulo(
     term: Term,
     ideals: IdealRegistry,
     hypotheses: list[ClosureHypothesis],
-    setup: VerifierSetup,
 ) -> tuple[Term, list[TraceStep]]:
     """Ideal reduction followed by exhaustive hypothesis cancellation."""
-    reduced, deleted = ideals.reduce_with_trace(term, setup.laws)
+    reduced, deleted = ideals.reduce_with_trace(term)
     trace = [TraceStep(reason, m, "0") for reason, m in deleted]
     remaining, steps = cancel_hypotheses(reduced, hypotheses)
     return remaining, trace + steps
@@ -319,7 +319,7 @@ def verify_cocycle(
 ) -> VerificationReport:
     kills: list[tuple[int, Factor, str]] = []
     survivors = apply_differential(setup.d, class_term, setup.sign, setup.laws, kills=kills)
-    residual, steps = reduce_modulo(survivors, ideals, closure_set.conditions, setup)
+    residual, steps = reduce_modulo(survivors, ideals, closure_set.conditions)
     trace = _law_steps(kills, setup) + steps
     status = "ok" if residual.is_zero else "fail"
     notes = []
@@ -390,7 +390,7 @@ def verify_independence(
         expanded = apply_differential(
             setup.d, Term.from_monomial(candidate), setup.sign, setup.laws, kills=kills
         )
-        reduced, del_steps = ideals.reduce_with_trace(expanded, setup.laws)
+        reduced, del_steps = ideals.reduce_with_trace(expanded)
         for reason, m in del_steps:
             trace.append(TraceStep(reason, m, "0"))
         trace += _law_steps(kills, setup)
@@ -407,7 +407,7 @@ def verify_independence(
         trace.append(TraceStep("primitive", mono, contribution))
 
     recomputed = apply_differential(setup.d, primitive, setup.sign, setup.laws)
-    recomputed, final_steps = reduce_modulo(recomputed, ideals, closure_set.conditions, setup)
+    recomputed, final_steps = reduce_modulo(recomputed, ideals, closure_set.conditions)
     trace += final_steps
     residual = diff - recomputed
     status = "ok" if residual.is_zero and not failures else "fail"
@@ -421,7 +421,8 @@ def _strip_inner(factor: Factor, setup: VerifierSetup) -> Factor | None:
     if setup.d in factor.diffs:
         diffs = list(factor.diffs)
         diffs.remove(setup.d)
-        return Factor(factor.generator, tuple(diffs))
+        if not stack_vanishes(diffs, setup.laws):
+            return Factor(factor.generator, tuple(diffs))
     return None
 
 

@@ -390,6 +390,41 @@ def test_derive_flags_offer_exactly_their_set_values():
         assert sorted(flags[key].choices) == [v for v in CANDIDATES if _accepted(key, v)]
 
 
+def test_deeply_nested_wrappers_print_back_and_check(tmp_path, capsys):
+    # far past the interpreter's recursion limit: wrappers are read in a loop
+    pattern = "D(" * 2000 + "a" + ")" * 2000
+    text = f"gen a index (1,0,0);\nideal nonlocal2 {pattern};\n"
+    session = tmp_path / "deep.gda"
+    session.write_text(text)
+    assert main(["print", str(session)]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["check", str(session)]) == 0
+    captured = capsys.readouterr()
+    assert "status: ok" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("ideal nonlocal2 d(d(a));", "ideal pattern a.d.d is killed by the differential laws"),
+    ("ideal square2 d(D(d(a)));", "ideal pattern a.d.D.d is killed by the differential laws"),
+])
+def test_ideal_pattern_the_laws_kill_exits_2(lines, error, tmp_path, capsys):
+    # such a member could never delete anything
+    session = tmp_path / "dead.gda"
+    session.write_text(f"gen a index (1,0,0);\n{lines}\n")
+    assert main(["check", str(session)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{session}:2:1: error: {error}\n"
+
+
+def test_ideal_pattern_alive_without_commuting_is_accepted(tmp_path, capsys):
+    session = tmp_path / "alive.gda"
+    session.write_text("set commute off;\ngen a index (1,0,0);\nideal square2 d(D(d(a)));\n")
+    assert main(["check", str(session)]) == 0
+    assert "status: ok" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["check", "print"])
 def test_non_utf8_session_exits_2_at_the_byte(command, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.gda").write_bytes(b"gen a index (1,0,0);\n\xff\n")

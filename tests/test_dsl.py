@@ -307,6 +307,10 @@ def test_wrapped_overlap_parses_and_renders():
     assert stmts[0].render() == "condition (I) 0 = (d(g)[r=1,t=1]);"
 
 
+LONG = "9" * 4301
+LONG_ERROR = "error: integer literal too long (4301 digits)"
+
+
 # every malformed definition keeps its message and its line:column
 @pytest.mark.parametrize("text, error", [
     ("hypotheses H := closure(phi; P1, P2, P3, P4);", "1:28: error: expected ',', got ';'"),
@@ -342,6 +346,11 @@ def test_wrapped_overlap_parses_and_renders():
     ("completion C := complete phi; P1);", "1:26: error: expected '(', got 'phi'"),
     ("completion C := complete(phi; P1)", "1:34: error: expected ';', got end of input"),
     ("completion C := complete(phi; P1", "1:33: error: expected ')', got end of input"),
+    # one digit past the interpreter's limit on int() of a string
+    pytest.param(f"gen a index ({LONG},0,0);", f"1:14: {LONG_ERROR}", id="long-index"),
+    pytest.param(f"set bound n-min -{LONG};", f"1:18: {LONG_ERROR}", id="long-bound"),
+    pytest.param(f"condition (I) 0 = (d(g)[r=1,t={LONG}]);", f"1:31: {LONG_ERROR}",
+                 id="long-overlap"),
 ])
 def test_malformed_definition_error_lines(text, error):
     with pytest.raises(GdaSyntaxError) as err:

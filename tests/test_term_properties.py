@@ -20,6 +20,7 @@ from gda import (
     apply_differential,
     classify_push,
     multiply,
+    normalize,
 )
 
 # deterministic and small: these run with the rest of tier-1
@@ -197,15 +198,32 @@ def test_cached_pushes_give_the_uncached_product_rule(term, laws, other_laws, ke
 
 @kernel
 @given(terms, law_sets, st.data())
+def test_the_product_rule_keeps_a_normal_term_normal(term, laws, data):
+    # the ideals reduce by membership only, so what the product rule builds
+    # from a normal term must leave no law for them to apply
+    term = normalize(term, laws)
+    arity = min((mono.arity for mono, _ in term.summands()), default=1)
+    slots = data.draw(st.one_of(st.none(), st.sets(st.integers(1, arity), min_size=1)))
+    for kind, sign in itertools.product(DiffKind, SignMode):
+        once = apply_differential(kind, term, sign, laws, slots)
+        assert normalize(once, laws) == once
+        for second in DiffKind:
+            twice = apply_differential(second, once, sign, laws, slots)
+            assert normalize(twice, laws) == twice
+
+
+@kernel
+@given(terms, law_sets, st.data())
 def test_reducing_a_reduced_term_deletes_nothing(term, laws, data):
-    # members are drawn from the term's own factors, so the first pass
-    # often deletes something
+    # the registry takes normal terms; members are drawn from the term's own
+    # factors, so the first pass often deletes something
+    term = normalize(term, laws)
     ideals = IdealRegistry()
     for factor in sorted({f for mono, _ in term.summands() for f in mono.factors}, key=str):
         kind = data.draw(member_kinds)
         if kind is not None:
             ideals.register(kind, factor, laws)
-    reduced, _ = ideals.reduce_with_trace(term, laws)
-    again, deleted = ideals.reduce_with_trace(reduced, laws)
+    reduced, _ = ideals.reduce_with_trace(term)
+    again, deleted = ideals.reduce_with_trace(reduced)
     assert deleted == []
     assert again == reduced

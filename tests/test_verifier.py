@@ -8,12 +8,14 @@ import pytest
 
 from gda import (
     DiffKind,
+    DiffLaws,
     EpsilonMode,
     Factor,
     HypothesisError,
     IdealKind,
     IdealRegistry,
     Index,
+    Monomial,
     SignMode,
     SymbolRegistry,
     Term,
@@ -29,6 +31,7 @@ from gda import (
     verify_cocycle,
     verify_independence,
 )
+from gda.terms import stack_vanishes
 
 CLASS_FILE = Path(__file__).resolve().parent.parent / "sessions" / "invariant_class.gda"
 
@@ -183,7 +186,7 @@ def test_reduce_modulo_traces_ideal_deletions():
     # differentiating the bare content slot duplicates phi.d, which the
     # non-local ideal then removes
     with_dupe = apply_differential(setup.d, term, setup.sign, setup.laws, (6,))
-    reduced, trace = reduce_modulo(with_dupe, ideals, [], setup)
+    reduced, trace = reduce_modulo(with_dupe, ideals, [])
     assert reduced.is_zero
     assert [step.rule for step in trace] == ["ideal:nonlocal2"]
 
@@ -233,6 +236,30 @@ def test_verify_independence_ablation_names_the_cross():
         "no closure condition for assignment ('eta', 'phi', 'eta')" in note
         for note in report.notes
     )
+
+
+def test_stripping_to_a_stack_the_laws_kill_gives_no_candidate():
+    # with eta = xi.D, slot 1 holds xi.D.d.D; taking d off leaves xi.D.D,
+    # which Delta-chain-cochain kills once commute is off.  The registry
+    # reduces by members only, so that stack must not reach it
+    laws = DiffLaws(Delta_chain_cochain=True, commute=False)
+    reg, phi, _, comps, ideals, setup = standard_context(VerifierSetup(laws=laws))
+    eta = Factor(reg.declare("xi", Index(1, 1, -1)), (DiffKind.Delta,))
+    ideals.register(IdealKind.nonlocal2, Factor(eta.generator, eta.diffs + (setup.d,)), laws)
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    report = verify_independence(phi, eta, comps, closure_set, ideals, setup)
+    assert not report.ok
+    stripped = [note for note in report.notes if note.startswith("cannot strip")]
+    assert stripped == [
+        f"cannot strip the first content slot of (Phi1, xi.D.d.D, Phi2, {a}, Phi3, {b}, Phi4)"
+        for a in ("phi.d", "xi.D.d") for b in ("phi", "xi.D")
+    ]
+    parts = [report.residual, report.primitive]
+    parts += [p for step in report.trace for p in (step.before, step.after) if not isinstance(p, str)]
+    monomials = [m for p in parts for m in ([p] if isinstance(p, Monomial) else p.monomials())]
+    assert monomials and not [
+        f for m in monomials for f in m.factors if stack_vanishes(f.diffs, laws)
+    ]
 
 
 def test_report_to_json_contract():
