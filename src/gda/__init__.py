@@ -7,12 +7,10 @@ class, all over exact rational coefficients, plus small finite models
 for numeric spot checks.
 """
 from .conditions import (
-    ChoiceVector,
     Condition,
     DerivationTree,
     PeriodicFamily,
     check_coherence,
-    coherence_constraints,
     collapse_signature,
     derive_tree,
     make_condition,
@@ -36,6 +34,7 @@ from .errors import (
     GdaSyntaxError,
     HeterogeneousSum,
     HypothesisError,
+    IdealError,
     LayoutError,
     ModelError,
     NameClash,

@@ -26,7 +26,6 @@ from .model import (
     random_in_span,
 )
 from .terms import (
-    DEFAULT_LAWS,
     DiffKind,
     Factor,
     Monomial,
@@ -82,8 +81,8 @@ def _cmd_derive(args) -> int:
     registry = SymbolRegistry()
     sign = SignMode(args.sign_mode)
     d = DiffKind(args.d)
-    start = standard_start(args.start, registry, d, sign, DEFAULT_LAWS)
-    tree = derive_tree(start, args.depth, sign, d, DEFAULT_LAWS, registry)
+    start = standard_start(args.start, registry, d, sign)
+    tree = derive_tree(start, args.depth, sign, d, registry)
     if args.report == "json":
         sys.stdout.write(json.dumps(tree_to_json(tree), sort_keys=True, indent=2) + "\n")
     else:

@@ -1,5 +1,8 @@
-"""Differential and orthogonality conditions, their coherence equations,
+"""Differential and orthogonality conditions, their coherence check,
 and the derivation-tree exploration.
+
+A choice pattern is a string of I (differentiate) and 0 (keep), one per
+product factor, bare or in one pair of parentheses: ``(I0)`` or ``I0``.
 
 A condition is an equation: either an orthogonality (zero left side) or
 a differential condition (left side is one differentiated generator).
@@ -21,11 +24,9 @@ from .differentials import SignMode, apply_differential
 from .errors import ArityError, CoherenceViolation
 from .ideals import factorization_moves
 from .terms import (
-    DEFAULT_LAWS,
     FRESH_PREFIX,
     ZERO_INDEX,
     DiffKind,
-    DiffLaws,
     Factor,
     Index,
     Monomial,
@@ -39,25 +40,12 @@ from .terms import (
 _LABEL_RE = re.compile(r"\(([I0]+)\)|([I0]+)")
 
 
-class ChoiceVector(NamedTuple):
-    """Differentiate-or-not choices, one per product factor."""
-
-    entries: tuple[int, ...]
-
-    @classmethod
-    def from_label(cls, label: str) -> "ChoiceVector":
-        match = _LABEL_RE.fullmatch(label)
-        if match is None:
-            raise ArityError(f"invalid choice pattern {label!r}")
-        sig = match.group(1) or match.group(2)
-        return cls(tuple(1 if ch == "I" else 0 for ch in sig))
-
-    @property
-    def label(self) -> str:
-        return "(" + "".join("I" if e else "0" for e in self.entries) + ")"
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def _choices(pattern: str) -> str:
+    """The I/0 signature of a choice pattern."""
+    match = _LABEL_RE.fullmatch(pattern)
+    if match is None:
+        raise ArityError(f"invalid choice pattern {pattern!r}")
+    return match.group(1) or match.group(2)
 
 
 def collapse_signature(sig: str) -> str:
@@ -91,18 +79,18 @@ def signature_label(term: Term) -> str:
 
 
 def make_condition(
-    J: ChoiceVector,
+    pattern: str,
     gamma: Term | None,
     phis: list[Term],
     d: DiffKind = DiffKind.delta,
     sign: SignMode = SignMode.paper_literal,
-    laws: DiffLaws = DEFAULT_LAWS,
 ) -> Condition:
-    if len(phis) != len(J):
-        raise ArityError(f"{len(phis)} elements for {len(J)} choices")
+    choices = _choices(pattern)
+    if len(phis) != len(choices):
+        raise ArityError(f"{len(phis)} elements for {len(choices)} choices")
     parts = [
-        apply_differential(d, p, sign, laws) if j else p
-        for j, p in zip(J.entries, phis)
+        apply_differential(d, p, sign) if choice == "I" else p
+        for choice, p in zip(choices, phis)
     ]
     rhs = Term.zero()
     if all(not p.is_zero for p in parts):
@@ -111,49 +99,24 @@ def make_condition(
         lhs = Term.zero()
         expected = ZERO_INDEX
     else:
-        lhs = apply_differential(d, gamma, sign, laws)
+        lhs = apply_differential(d, gamma, sign)
         idx = gamma.index()
         if idx is None:
             raise CoherenceViolation("condition left side must be homogeneous")
         expected = idx.shifted(d)
-    return Condition(J.label, lhs, rhs, expected)
-
-
-class CoherenceEquation(NamedTuple):
-    component: str
-    expected: int
-    actual: int
-    monomial: Monomial
-
-    @property
-    def holds(self) -> bool:
-        return self.expected == self.actual
-
-    def __str__(self) -> str:
-        rel = "=" if self.holds else "!="
-        return (
-            f"{self.component}: {self.expected} {rel} {self.actual}"
-            f" in {self.monomial}"
-        )
-
-
-def coherence_constraints(
-    cond: Condition, literal_m: bool = False
-) -> list[CoherenceEquation]:
-    out = []
-    exp = cond.expected_index
-    for monomial in cond.rhs.monomials():
-        idx = monomial.index(literal_m=literal_m)
-        out.append(CoherenceEquation("n", exp.n, idx.n, monomial))
-        out.append(CoherenceEquation("m", exp.m, idx.m, monomial))
-        out.append(CoherenceEquation("kappa", exp.kappa, idx.kappa, monomial))
-    return out
+    return Condition(f"({choices})", lhs, rhs, expected)
 
 
 def check_coherence(cond: Condition, literal_m: bool = False) -> None:
-    for eq in coherence_constraints(cond, literal_m):
-        if not eq.holds:
-            raise CoherenceViolation(f"condition {cond.label}: {eq}")
+    """CoherenceViolation for the first index component of a right-hand
+    monomial that differs from the expected index."""
+    for monomial in cond.rhs.monomials():
+        actual = monomial.index(literal_m=literal_m)
+        for component, want, got in zip(Index._fields, cond.expected_index, actual):
+            if want != got:
+                raise CoherenceViolation(
+                    f"condition {cond.label}: {component}: {want} != {got} in {monomial}"
+                )
 
 
 # --- derivation trees -------------------------------------------------
@@ -283,7 +246,6 @@ def derive_tree(
     depth: int = 8,
     sign: SignMode = SignMode.paper_literal,
     d: DiffKind = DiffKind.delta,
-    laws: DiffLaws = DEFAULT_LAWS,
     registry: SymbolRegistry | None = None,
 ) -> DerivationTree:
     if depth < 1:
@@ -331,8 +293,8 @@ def derive_tree(
             return
         dp = node.depth + 1
         # move 1: differentiate both sides
-        lhs2 = apply_differential(d, cond.lhs, sign, laws)
-        rhs2 = apply_differential(d, cond.rhs, sign, laws)
+        lhs2 = apply_differential(d, cond.lhs, sign)
+        rhs2 = apply_differential(d, cond.rhs, sign)
         note = None
         if lhs2.is_zero and len(rhs2) == 1:
             mono, coeff = rhs2.items()[0]
@@ -399,34 +361,31 @@ def standard_start(
     registry: SymbolRegistry,
     d: DiffKind = DiffKind.delta,
     sign: SignMode = SignMode.paper_literal,
-    laws: DiffLaws = DEFAULT_LAWS,
 ) -> Condition:
     """Orthogonality condition for a start pattern over the standard
     generators, with the first index solved so the product lands at the
     zero index.  Patterns with redundant undifferentiated runs collapse
     first."""
-    J = ChoiceVector.from_label(pattern)
-    collapsed = collapse_signature("".join("I" if e else "0" for e in J.entries))
-    J = ChoiceVector.from_label(collapsed)
-    arity = len(J)
+    choices = collapse_signature(_choices(pattern))
+    arity = len(choices)
     if arity not in _NAMES:
         raise ArityError(f"no standard generators for arity {arity}")
     nominal = _NOMINAL_2 if arity == 2 else _NOMINAL_3
     shift = ZERO_INDEX.shifted(d)
     rest = ZERO_INDEX
-    for base, j in zip(nominal[1:], J.entries[1:]):
+    for base, choice in zip(nominal[1:], choices[1:]):
         rest = rest + base
-        if j:
+        if choice == "I":
             rest = rest + shift
     first = ZERO_INDEX - rest
-    if J.entries[0]:
+    if choices[0] == "I":
         first = first - shift
     indices = [first] + nominal[1:]
     phis = [
         Term.from_factor(Factor(registry.declare(name, idx)))
         for name, idx in zip(_NAMES[arity], indices)
     ]
-    return make_condition(J, None, phis, d=d, sign=sign, laws=laws)
+    return make_condition(choices, None, phis, d=d, sign=sign)
 
 
 # --- rendering --------------------------------------------------------

@@ -61,6 +61,15 @@ SETTINGS = {
 _BOUNDS = {field.replace("_", "-"): field for field in IndexBounds._fields}
 
 
+def _integer(text: str) -> int:
+    """int() of a digit string with an optional minus; past the
+    interpreter's limit on digits, a ValueError that counts them."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer literal too long ({len(text.lstrip('-'))} digits)") from None
+
+
 # --- statements -------------------------------------------------------
 
 class FactorExpr(NamedTuple):
@@ -146,56 +155,37 @@ class ConditionStatement(NamedTuple):
         return f"condition ({self.label}) {lhs} = ({rhs});"
 
 
-@_located
-class CompletionStatement(NamedTuple):
-    name: str
-    phis: tuple[str, ...]
-    Phis: tuple[str, ...]
-    line: int = 0
-    column: int = 0
-
-    def render(self) -> str:
-        return (
-            f"completion {self.name} := complete("
-            f"{', '.join(self.phis)}; {', '.join(self.Phis)});"
-        )
+# statement -> (WORD, number of heads or None for any number, what a
+# second NAME is reported as, the message for a wrong completion count);
+# no command reads a completion, which is only checked
+DEFINITIONS = {
+    "completion": ("complete", None, "completion",
+                   "{heads} picked elements need {need} completion factors, got {got}"),
+    "hypotheses": ("closure", 2, "closure set", "closure needs exactly {need} completion factors"),
+    "class": ("invariant", 1, "class", "a class needs exactly {need} completion factors"),
+}
 
 
 @_located
-class HypothesesStatement(NamedTuple):
+class Definition(NamedTuple):
+    """``STATEMENT NAME := WORD(HEADS; COMPLETIONS);`` for each
+    statement in DEFINITIONS."""
+
+    statement: str
     name: str
-    first: str
-    second: str
+    heads: tuple[str, ...]
     completions: tuple[str, ...]
     line: int = 0
     column: int = 0
 
     def render(self) -> str:
         return (
-            f"hypotheses {self.name} := closure("
-            f"{self.first}, {self.second}; {', '.join(self.completions)});"
+            f"{self.statement} {self.name} := {DEFINITIONS[self.statement][0]}("
+            f"{', '.join(self.heads)}; {', '.join(self.completions)});"
         )
 
 
-@_located
-class ClassStatement(NamedTuple):
-    name: str
-    phi: str
-    completions: tuple[str, ...]
-    line: int = 0
-    column: int = 0
-
-    def render(self) -> str:
-        return (
-            f"class {self.name} := invariant("
-            f"{self.phi}; {', '.join(self.completions)});"
-        )
-
-
-Statement = (
-    SetStatement | GenStatement | IdealStatement | ConditionStatement
-    | CompletionStatement | HypothesesStatement | ClassStatement
-)
+Statement = SetStatement | GenStatement | IdealStatement | ConditionStatement | Definition
 
 
 def print_session(statements: list[Statement]) -> str:
@@ -308,9 +298,9 @@ class _Parser:
             negative = True
         tok = self.expect(kind="number")
         try:
-            value = int(tok.text)
-        except ValueError:  # past the interpreter's limit on digits
-            raise self.error(f"integer literal too long ({len(tok.text)} digits)", tok) from None
+            value = _integer(tok.text)
+        except ValueError as err:
+            raise self.error(str(err), tok) from None
         return -value if negative else value
 
     def index(self) -> Index:
@@ -346,10 +336,21 @@ class _Parser:
             fe = FactorExpr(fe.name, fe.wraps, r, t)
         return fe
 
-    def definition(
-        self, word: str, heads: int | None = None
-    ) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
-        """``NAME := WORD(HEADS; COMPLETIONS);`` as (NAME, HEADS, COMPLETIONS)."""
+    # statements
+
+    def statement(self) -> Statement:
+        head = self.expect(kind="name")
+        if head.text in DEFINITIONS:
+            statement = self.definition(head.text)
+        else:
+            handler = getattr(self, f"stmt_{head.text}", None)
+            if handler is None:
+                raise self.error(f"unknown statement {head.text!r}", head)
+            statement = handler()
+        return statement._replace(line=head.line, column=head.column)
+
+    def definition(self, statement: str) -> Definition:
+        word, heads = DEFINITIONS[statement][:2]
         name = self.name()
         self.expect(":=")
         self.expect(word)
@@ -359,16 +360,7 @@ class _Parser:
         completions = self.items(self.name)
         self.expect(")")
         self.expect(";")
-        return name, head_names, completions
-
-    # statements
-
-    def statement(self) -> Statement:
-        head = self.expect(kind="name")
-        handler = getattr(self, f"stmt_{head.text}", None)
-        if handler is None:
-            raise self.error(f"unknown statement {head.text!r}", head)
-        return handler()._replace(line=head.line, column=head.column)
+        return Definition(statement, name, head_names, completions)
 
     def stmt_set(self) -> SetStatement:
         key = self.hyphen_name()
@@ -422,17 +414,6 @@ class _Parser:
         self.expect(";")
         return ConditionStatement(label, lhs, rhs)
 
-    def stmt_completion(self) -> CompletionStatement:
-        return CompletionStatement(*self.definition("complete"))
-
-    def stmt_hypotheses(self) -> HypothesesStatement:
-        name, (first, second), completions = self.definition("closure", 2)
-        return HypothesesStatement(name, first, second, completions)
-
-    def stmt_class(self) -> ClassStatement:
-        name, (phi,), completions = self.definition("invariant", 1)
-        return ClassStatement(name, phi, completions)
-
 
 def parse_text(text: str, filename: str = "<input>") -> list[Statement]:
     parser = _Parser(tokenize(text, filename), filename)
@@ -471,8 +452,8 @@ class Session:
 
     def __init__(
         self, registry: SymbolRegistry, ideals: IdealRegistry, conditions: list[Condition],
-        hypothesis_decls: dict[str, HypothesesStatement],
-        class_decls: dict[str, ClassStatement], setup: VerifierSetup,
+        hypothesis_decls: dict[str, Definition],
+        class_decls: dict[str, Definition], setup: VerifierSetup,
         bounds: IndexBounds, literal_m: bool, statements: list[Statement],
     ):
         self.registry = registry
@@ -499,9 +480,10 @@ class Session:
         if name not in self.hypothesis_decls:
             raise NameClash(f"unknown closure set {name!r}")
         decl = self.hypothesis_decls[name]
+        first, second = decl.heads
         return build_closure_set(
-            self.factor(decl.first),
-            self.factor(decl.second),
+            self.factor(first),
+            self.factor(second),
             tuple(self.factor(c) for c in decl.completions),
             self.ideals,
             self.setup,
@@ -511,7 +493,7 @@ class Session:
         if name not in self.class_decls:
             raise NameClash(f"unknown class {name!r}")
         decl = self.class_decls[name]
-        return self.factor(decl.phi), tuple(self.factor(c) for c in decl.completions)
+        return self.factor(decl.heads[0]), tuple(self.factor(c) for c in decl.completions)
 
     def class_term(self, name: str) -> Term:
         phi, comps = self.class_parts(name)
@@ -537,9 +519,7 @@ def build_session(
     literal_m = False
     bounds = IndexBounds()
     conditions: list[Condition] = []
-    completions: set[str] = set()
-    hyps: dict[str, HypothesesStatement] = {}
-    classes: dict[str, ClassStatement] = {}
+    definitions: dict[str, dict[str, Definition]] = {statement: {} for statement in DEFINITIONS}
 
     def wrap_kind(letter: str) -> DiffKind:
         return setup.d if letter == "d" else setup.d.other
@@ -564,7 +544,7 @@ def build_session(
                         raise fail(f"unknown bound {bound!r}")
                     if not re.fullmatch(r"-?\d+", value):
                         raise fail(f"bound {bound} must be an integer, got {value!r}")
-                    bounds = bounds._replace(**{_BOUNDS[bound]: int(value)})
+                    bounds = bounds._replace(**{_BOUNDS[bound]: _integer(value)})
                 elif key not in SETTINGS:
                     raise fail(f"unknown setting {key!r}")
                 else:
@@ -618,34 +598,19 @@ def build_session(
                 cond = Condition(st.label, lhs, rhs, expected)
                 check_coherence(cond, literal_m)
                 conditions.append(cond)
-            elif isinstance(st, CompletionStatement):
-                # checked only: no command reads a completion
-                if st.name in completions:
-                    raise fail(f"completion {st.name!r} already defined")
-                for n in (*st.phis, *st.Phis):
+            elif isinstance(st, Definition):
+                _, heads, noun, count_error = DEFINITIONS[st.statement]
+                defined = definitions[st.statement]
+                if st.name in defined:
+                    raise fail(f"{noun} {st.name!r} already defined")
+                for n in (*st.heads, *st.completions):
                     registry.get(n)
-                if len(st.Phis) != len(st.phis) + 1:
-                    raise fail(
-                        f"{len(st.phis)} picked elements need {len(st.phis) + 1}"
-                        f" completion factors, got {len(st.Phis)}"
-                    )
-                completions.add(st.name)
-            elif isinstance(st, HypothesesStatement):
-                if st.name in hyps:
-                    raise fail(f"closure set {st.name!r} already defined")
-                for n in (st.first, st.second, *st.completions):
-                    registry.get(n)
-                if len(st.completions) != 4:
-                    raise fail("closure needs exactly 4 completion factors")
-                hyps[st.name] = st
-            elif isinstance(st, ClassStatement):
-                if st.name in classes:
-                    raise fail(f"class {st.name!r} already defined")
-                for n in (st.phi, *st.completions):
-                    registry.get(n)
-                if len(st.completions) != 4:
-                    raise fail("a class needs exactly 4 completion factors")
-                classes[st.name] = st
+                need = 4 if heads else len(st.heads) + 1
+                if len(st.completions) != need:
+                    raise fail(count_error.format(
+                        heads=len(st.heads), need=need, got=len(st.completions)
+                    ))
+                defined[st.name] = st
             else:
                 raise fail(f"unhandled statement {type(st).__name__}")
         except GdaSyntaxError:
@@ -654,7 +619,7 @@ def build_session(
             raise fail(str(err)) from err
 
     return Session(
-        registry, ideals, conditions, hyps, classes,
+        registry, ideals, conditions, definitions["hypotheses"], definitions["class"],
         setup, bounds, literal_m, list(statements),
     )
 

@@ -38,6 +38,10 @@ class HypothesisError(GdaError):
     """A closure-hypothesis set was requested without its preconditions."""
 
 
+class IdealError(GdaError):
+    """An ideal member was declared that the differential laws kill."""
+
+
 class AssignmentError(GdaError):
     """A model evaluation met a symbol with no assigned value."""
 

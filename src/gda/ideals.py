@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ArityError
+from .errors import ArityError, IdealError
 from .terms import (
     DEFAULT_LAWS,
     DiffLaws,
@@ -48,7 +48,7 @@ class IdealRegistry:
     def register(self, kind: IdealKind, pattern: Factor, laws: DiffLaws = DEFAULT_LAWS) -> None:
         stack = canonical_stack(pattern.diffs, laws)
         if stack_vanishes(stack, laws):
-            raise ValueError(f"ideal pattern {pattern} is killed by the differential laws")
+            raise IdealError(f"ideal pattern {pattern} is killed by the differential laws")
         self._members[IdealKind(kind)][Factor(pattern.generator, stack)] = None
 
     def is_member(self, kind: IdealKind, factor: Factor) -> bool:

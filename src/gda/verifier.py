@@ -95,17 +95,18 @@ class VerificationReport:
 
 # --- class layout -----------------------------------------------------
 
-def _content_arity(term: Term) -> int:
-    arities = {m.arity for m, _ in term.summands()}
-    if len(arities) > 1:
-        raise LayoutError("content slot with mixed arities")
-    return arities.pop() if arities else 1
+# 1-based positions of the four completion factors and of the three
+# contents in the class layout; a content at None is left out
+_LAYOUT = {
+    EpsilonMode.pair: ((1, 3, 5, 7), (2, 4, 6)),
+    EpsilonMode.drop: ((1, 2, 4, 6), (None, 3, 5)),
+}
 
 
 def class_layout(
     setup: VerifierSetup,
     completions: tuple[Factor, ...],
-    c1: Term | None,
+    c1: Term,
     c2: Term,
     c3: Term,
 ) -> tuple[Term, tuple[int, ...]]:
@@ -114,38 +115,39 @@ def class_layout(
     Mirrors the auxiliary pairing at term level: in pair mode the first
     completion is followed by the first content (a zero content absorbs
     the product); in drop mode the first content is omitted and the two
-    leading completions sit side by side.  Returns the layout and the
-    1-based completion positions.
+    leading completions sit side by side.  Each content is a sum of
+    single factors.  Returns the layout and the completion positions.
     """
     if len(completions) != 4:
         raise LayoutError(f"class layout needs 4 completion factors, got {len(completions)}")
-    P = [Term.from_factor(f) for f in completions]
-    if setup.epsilon_mode is EpsilonMode.pair:
-        parts = [(True, P[0]), (False, c1 if c1 is not None else Term.zero()),
-                 (True, P[1]), (False, c2), (True, P[2]), (False, c3), (True, P[3])]
-    else:
-        parts = [(True, P[0]), (True, P[1]), (False, c2),
-                 (True, P[2]), (False, c3), (True, P[3])]
-    slots: list[int] = []
-    pos = 1
-    for is_completion, t in parts:
-        if is_completion:
-            slots.append(pos)
-            pos += 1
-        else:
-            pos += _content_arity(t)
-    return multiply([t for _, t in parts]), tuple(slots)
+    completion_at, content_at = _LAYOUT[setup.epsilon_mode]
+    parts = dict(zip(completion_at, map(Term.from_factor, completions)))
+    for pos, content in zip(content_at, (c1, c2, c3)):
+        if pos is not None:
+            if any(m.arity != 1 for m in content.monomials()):
+                raise LayoutError("content slot that is not a single factor")
+            parts[pos] = content
+    return multiply([parts[pos] for pos in sorted(parts)]), completion_at
 
 
-def _content_terms(
-    setup: VerifierSetup, xi1: Term, xi2: Term, xi3: Term, slot1_level: int
-) -> tuple[Term, Term, Term]:
-    base = xi1
-    if slot1_level:
-        base = apply_differential(setup.d, base, setup.sign, setup.laws)
-    c1 = apply_differential(setup.dbar, base, setup.sign, setup.laws)
+def _layout(
+    setup: VerifierSetup,
+    completions: tuple[Factor, ...],
+    xi1: Term,
+    xi2: Term,
+    xi3: Term,
+    level: int,
+) -> tuple[Term, tuple[int, ...]]:
+    """class_layout of the contents made from three picked elements:
+    xi1 differentiated by d `level` times and then by dbar, xi2 by d,
+    and xi3 as it is.  A content the layout leaves out is not built."""
+    c1 = Term.zero()
+    if _LAYOUT[setup.epsilon_mode][1][0] is not None:
+        c1 = xi1
+        for kind in (setup.d,) * level + (setup.dbar,):
+            c1 = apply_differential(kind, c1, setup.sign, setup.laws)
     c2 = apply_differential(setup.d, xi2, setup.sign, setup.laws)
-    return c1, c2, xi3
+    return class_layout(setup, completions, c1, c2, xi3)
 
 
 def build_class(
@@ -156,9 +158,7 @@ def build_class(
     """The candidate invariant for one picked element (or a sum of
     picked elements, expanded multilinearly)."""
     phi_t = Term.from_factor(phi) if isinstance(phi, Factor) else phi
-    c1, c2, c3 = _content_terms(setup, phi_t, phi_t, phi_t, slot1_level=1)
-    layout, _ = class_layout(setup, completions, c1, c2, c3)
-    return layout
+    return _layout(setup, completions, phi_t, phi_t, phi_t, 1)[0]
 
 
 # --- closure hypothesis sets ------------------------------------------
@@ -213,20 +213,23 @@ def build_closure_set(
     add(phi_t, psi_t)  # HeterogeneousSum unless phi and psi share an index
     bases = [(phi.generator.name, phi_t), (psi.generator.name, psi_t)]
     # a condition is linear in each content, so a phi+psi slot is the sum
-    # of its phi and psi conditions and only those are expanded
-    expanded = {
-        (i1, i2, i3, level): _closure_condition(
-            setup, completions, bases[i1][1], bases[i2][1], bases[i3][1], level
-        )
-        for i1, i2, i3 in product((0, 1), repeat=3)
-        for level in (0, 1)
-    }
+    # of its phi and psi conditions and only those are expanded; when the
+    # layout leaves the first content out, a condition depends on neither
+    # the first element nor the first-slot depth, so the one expanded for
+    # phi at depth 0 serves them all
+    first_kept = _LAYOUT[setup.epsilon_mode][1][0] is not None
+    expanded: dict[tuple[int, int, int, int], Term] = {}
+    for i1, i2, i3, level in product((0, 1), repeat=4):
+        if not first_kept and (i1 or level):
+            expanded[i1, i2, i3, level] = expanded[0, i2, i3, 0]
+            continue
+        layout, slots = _layout(setup, completions, bases[i1][1], bases[i2][1], bases[i3][1], level)
+        expanded[i1, i2, i3, level] = apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
     closure_set = ClosureSet()
     for firsts, seconds, thirds in product([(0,), (1,), (0, 1)], repeat=3):
         names = tuple("+".join(bases[i][0] for i in part) for part in (firsts, seconds, thirds))
-        if setup.epsilon_mode is EpsilonMode.drop:
-            # the first content is left out of the layout, so the slot-1
-            # choice does not change the condition and is not summed
+        if not first_kept:
+            # the slot-1 choice does not change the condition and is not summed
             firsts = firsts[:1]
         for level in (0, 1):
             condition = sum(
@@ -236,20 +239,6 @@ def build_closure_set(
             tag = f"{names[0]}|{names[1]}|{names[2]}|{'Dd' if level else 'D'}"
             closure_set.conditions.append(ClosureHypothesis(tag, names, level, condition))
     return closure_set
-
-
-def _closure_condition(
-    setup: VerifierSetup,
-    completions: tuple[Factor, ...],
-    t1: Term,
-    t2: Term,
-    t3: Term,
-    level: int,
-) -> Term:
-    """Slot differential of the layout built from three contents."""
-    c1, c2, c3 = _content_terms(setup, t1, t2, t3, level)
-    layout, slots = class_layout(setup, completions, c1, c2, c3)
-    return apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
 
 
 # --- cancellation machinery -------------------------------------------
@@ -354,7 +343,8 @@ def verify_independence(
     """Check that replacing the picked element by its sum with another
     admissible element shifts the class by an exact differential, and
     produce that primitive."""
-    if setup.epsilon_mode is not EpsilonMode.pair:
+    content_positions = _LAYOUT[setup.epsilon_mode][1]
+    if None in content_positions:
         raise LayoutError(
             "primitive reconstruction needs the paired layout (epsilon mode pair)"
         )
@@ -363,9 +353,6 @@ def verify_independence(
     class_phi = build_class(phi_t, completions, setup)
     class_sum = build_class(add(phi_t, eta_t), completions, setup)
     diff = class_sum - class_phi
-
-    # the paired layout of single-factor contents puts them at 2, 4, 6
-    content_positions = (2, 4, 6)
 
     trace: list[TraceStep] = []
     primitive = Term.zero()

@@ -2,7 +2,7 @@
 import pytest
 
 from gda import (
-    ChoiceVector,
+    ArityError,
     CoherenceViolation,
     Condition,
     DiffKind,
@@ -12,7 +12,6 @@ from gda import (
     SymbolRegistry,
     Term,
     check_coherence,
-    coherence_constraints,
     collapse_signature,
     derive_tree,
     make_condition,
@@ -29,11 +28,16 @@ def gen_term(reg, name, n, m, kappa=0):
     return Term.from_factor(Factor(reg.declare(name, Index(n, m, kappa))))
 
 
-def test_choice_vector_round_trip():
-    J = ChoiceVector.from_label("(I0I)")
-    assert J.entries == (1, 0, 1)
-    assert J.label == "(I0I)"
-    assert len(J) == 3
+def test_make_condition_reads_bare_and_parenthesized_patterns():
+    reg = SymbolRegistry()
+    phis = [gen_term(reg, name, 0, 0) for name in ("a", "b", "c")]
+    bare = make_condition("I0I", None, phis)
+    assert bare.label == "(I0I)"
+    assert make_condition("(I0I)", None, phis) == bare
+    assert bare.equation == "0 = (a.d, b, c.d)"
+    for bad in ("(I0I", "((I0I))", "I2", "()", ""):
+        with pytest.raises(ArityError, match="invalid choice pattern"):
+            make_condition(bad, None, phis)
 
 
 def test_collapse_signature_only_with_differentiated_slot():
@@ -56,7 +60,7 @@ def test_make_condition_orthogonality():
     reg = SymbolRegistry()
     a = gen_term(reg, "a", 1, 0)
     b = gen_term(reg, "b", -1, 0)
-    cond = make_condition(ChoiceVector.from_label("(00)"), None, [a, b])
+    cond = make_condition("(00)", None, [a, b])
     assert cond.kind == "orthogonality"
     assert cond.equation == "0 = (a, b)"
     assert cond.expected_index == Index(0, 0, 0)
@@ -67,27 +71,25 @@ def test_make_condition_differential_side():
     g = gen_term(reg, "g", -1, 1)
     a = gen_term(reg, "a", 1, 0)
     b = gen_term(reg, "b", -1, 0)
-    cond = make_condition(ChoiceVector.from_label("(I0)"), g, [a, b])
+    cond = make_condition("(I0)", g, [a, b])
     assert cond.kind == "differential"
     assert cond.equation == "g.d = (a.d, b)"
     assert cond.expected_index == Index(0, 0, 0)
 
 
 def test_make_condition_rejects_arity_mismatch():
-    from gda import ArityError
     reg = SymbolRegistry()
     a = gen_term(reg, "a", 1, 0)
     with pytest.raises(ArityError):
-        make_condition(ChoiceVector.from_label("(00)"), None, [a])
+        make_condition("(00)", None, [a])
 
 
 def test_coherence_passes_on_consistent_condition():
     reg = SymbolRegistry()
     a = gen_term(reg, "a", 1, 0)
     b = gen_term(reg, "b", -1, 0)
-    cond = make_condition(ChoiceVector.from_label("(00)"), None, [a, b])
+    cond = make_condition("(00)", None, [a, b])
     check_coherence(cond)
-    assert coherence_constraints(cond)
 
 
 def test_coherence_flags_bad_expected_index():
@@ -96,8 +98,9 @@ def test_coherence_flags_bad_expected_index():
     b = gen_term(reg, "b", -1, 0)
     rhs = Term.from_monomial(Monomial((Factor(reg.get("a")), Factor(reg.get("b")))))
     bad = Condition("(00)", Term.zero(), rhs, Index(5, 0, 0))
-    with pytest.raises(CoherenceViolation):
+    with pytest.raises(CoherenceViolation) as err:
         check_coherence(bad)
+    assert str(err.value) == "condition (00): n: 5 != 0 in (a, b)"
 
 
 def test_standard_start_two_factor_names_and_index():
@@ -162,7 +165,7 @@ def test_seen_key_blanks_only_fresh_generators():
         reg = SymbolRegistry()
         indices = [Index(0, 1, 0), Index(1, 0, 0), Index(-1, -1, 0)]
         phis = [Term.from_factor(Factor(reg.declare(n, i))) for n, i in zip(names, indices)]
-        start = make_condition(ChoiceVector.from_label("(000)"), None, phis)
+        start = make_condition("(000)", None, phis)
         return derive_tree(start, depth=2, registry=reg)
 
     lookalike = tree_for(["x_f1", "x_f2", "x_f3"])

@@ -18,16 +18,17 @@ from gda import (
 )
 from gda.dsl import (
     SETTINGS,
-    ClassStatement,
-    CompletionStatement,
+    Definition,
     FactorExpr,
     GenStatement,
-    HypothesesStatement,
     IdealStatement,
     SetStatement,
 )
 
 SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+# one digit past the interpreter's limit on int() of a string
+LONG = "9" * 4301
+LONG_ERROR = "error: integer literal too long (4301 digits)"
 
 
 def build(text):
@@ -78,6 +79,11 @@ def test_set_rejects_unknown_keys_and_values():
         build("set commute maybe;")
     with pytest.raises(GdaSyntaxError, match="delta or Delta"):
         build("set d gamma;")
+    # a bound given as a setting is read as the parser reads a literal
+    for value in (LONG, f"-{LONG}"):
+        with pytest.raises(GdaSyntaxError) as err:
+            build_session(parse_text("gen a index (1,0,0);"), "x.gda", {"bound n-min": value})
+        assert str(err.value) == f"x.gda:0:0: {LONG_ERROR}"
 
 
 def test_settings_act_as_leading_set_lines_and_win():
@@ -278,9 +284,9 @@ ideal_lines = st.tuples(
     st.lists(st.sampled_from("dD"), max_size=3),
 ).map(lambda i: IdealStatement(i[0], FactorExpr(i[1], tuple(i[2]))))
 definition_lines = st.one_of(
-    st.tuples(names, name_lists, name_lists).map(lambda c: CompletionStatement(*c)),
-    st.tuples(names, names, names, name_lists).map(lambda h: HypothesesStatement(*h)),
-    st.tuples(names, names, name_lists).map(lambda c: ClassStatement(*c)),
+    st.tuples(names, name_lists, name_lists).map(lambda c: Definition("completion", *c)),
+    st.tuples(names, st.tuples(names, names), name_lists).map(lambda h: Definition("hypotheses", *h)),
+    st.tuples(names, st.tuples(names), name_lists).map(lambda c: Definition("class", *c)),
 )
 sessions = st.lists(st.one_of(set_lines, gen_lines, ideal_lines, definition_lines), max_size=8)
 
@@ -305,10 +311,6 @@ def test_load_session_carries_filename_into_errors(tmp_path):
 def test_wrapped_overlap_parses_and_renders():
     stmts = parse_text("condition (I) 0 = (d(g)[r=1,t=1]);")
     assert stmts[0].render() == "condition (I) 0 = (d(g)[r=1,t=1]);"
-
-
-LONG = "9" * 4301
-LONG_ERROR = "error: integer literal too long (4301 digits)"
 
 
 # every malformed definition keeps its message and its line:column
@@ -346,7 +348,6 @@ LONG_ERROR = "error: integer literal too long (4301 digits)"
     ("completion C := complete phi; P1);", "1:26: error: expected '(', got 'phi'"),
     ("completion C := complete(phi; P1)", "1:34: error: expected ';', got end of input"),
     ("completion C := complete(phi; P1", "1:33: error: expected ')', got end of input"),
-    # one digit past the interpreter's limit on int() of a string
     pytest.param(f"gen a index ({LONG},0,0);", f"1:14: {LONG_ERROR}", id="long-index"),
     pytest.param(f"set bound n-min -{LONG};", f"1:18: {LONG_ERROR}", id="long-bound"),
     pytest.param(f"condition (I) 0 = (d(g)[r=1,t={LONG}]);", f"1:31: {LONG_ERROR}",

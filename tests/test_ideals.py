@@ -6,6 +6,8 @@ from gda import (
     DiffKind,
     DiffLaws,
     Factor,
+    GdaError,
+    IdealError,
     IdealKind,
     IdealRegistry,
     Index,
@@ -105,6 +107,21 @@ def test_reduce_applies_square_law(reg):
     term = Term.from_monomial(Monomial((fac(reg, "a", D, D), fac(reg, "b"))))
     assert ir.reduce_with_trace(term) == (term, [])
     assert normalize(term).is_zero
+
+
+def test_register_refuses_a_pattern_the_laws_kill(reg):
+    # such a member could never delete anything; the refusal is a GdaError
+    ir = IdealRegistry()
+    killed = r"^ideal pattern a\.d\.d is killed by the differential laws$"
+    with pytest.raises(IdealError, match=killed):
+        ir.register(IdealKind.nonlocal2, fac(reg, "a", D, D), DEFAULT_LAWS)
+    assert issubclass(IdealError, GdaError)
+    assert not ir.is_member(IdealKind.nonlocal2, fac(reg, "a", D, D))
+    # alive without commuting, killed once d.D.d sorts to d.d.D
+    stacked = fac(reg, "b", D, DiffKind.Delta, D)
+    ir.register(IdealKind.square2, stacked, DiffLaws(commute=False))
+    with pytest.raises(IdealError, match=r"^ideal pattern b\.d\.D\.d is killed"):
+        ir.register(IdealKind.square2, stacked, DEFAULT_LAWS)
 
 
 def test_moves_at_the_edges(reg):

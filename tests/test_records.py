@@ -13,7 +13,6 @@ import pytest
 import gda
 from gda import (
     ZERO_INDEX,
-    ChoiceVector,
     ClosureHypothesis,
     Condition,
     DiffKind,
@@ -29,7 +28,7 @@ from gda import (
     corner_model,
     parse_text,
 )
-from gda.dsl import ClassStatement, CompletionStatement, GenStatement, SetStatement
+from gda.dsl import Definition, GenStatement, SetStatement
 
 
 def _rhs():
@@ -83,7 +82,7 @@ def test_statements_compare_without_their_location():
 
 def test_statements_of_different_kinds_differ():
     # same field values, different statement
-    assert ClassStatement("X", "p", ("a",)) != CompletionStatement("X", "p", ("a",))
+    assert Definition("class", "X", ("p",), ("a",)) != Definition("completion", "X", ("p",), ("a",))
 
 
 def test_index_order_and_arithmetic():
@@ -98,11 +97,6 @@ def test_index_order_and_arithmetic():
     assert Index(1, 2, 3).shifted(DiffKind.delta) == Index(2, 1, 3)
     assert Index(1, 2, 3).shifted(DiffKind.Delta) == Index(1, 2, 4)
     assert str(Index(-1, 0, 2)) == "(-1,0,2)"
-
-
-def test_choice_vector_length_is_its_entry_count():
-    assert len(ChoiceVector((1, 0, 1, 1))) == 4
-    assert ChoiceVector.from_label("(I0)").label == "(I0)"
 
 
 def _immutable_cases():

@@ -196,6 +196,31 @@ def test_cached_pushes_give_the_uncached_product_rule(term, laws, other_laws, ke
                 assert kills == expected_kills
 
 
+def test_the_factor_table_is_emptied_at_its_cap(monkeypatch):
+    # a cap far below what is built here, so the table is emptied many times
+    cap = 4
+
+    class CappedTable(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            assert len(self) <= cap
+
+    monkeypatch.setattr(terms_module, "FACTOR_TABLE_CAP", cap)
+    monkeypatch.setattr(terms_module, "_FACTORS", CappedTable())
+    first = [Factor(g, s) for g, s in itertools.product(GENERATORS, STACKS)]
+    again = [Factor(g, s) for g, s in itertools.product(GENERATORS, STACKS)]
+    assert any(a is not b for a, b in zip(first, again))  # a clear came between
+    every_laws = [DiffLaws(*flags) for flags in itertools.product((True, False), repeat=2)]
+    for a, b in zip(first, again):
+        assert a == b and hash(a) == hash(b)
+        term = Term.from_monomial(Monomial((a, b, a)))
+        for kind, sign, laws in itertools.product(DiffKind, SignMode, every_laws):
+            kills = []
+            expected, expected_kills = product_rule(kind, term, sign, laws, None)
+            assert apply_differential(kind, term, sign, laws, kills=kills) == expected
+            assert kills == expected_kills
+
+
 @kernel
 @given(terms, law_sets, st.data())
 def test_the_product_rule_keeps_a_normal_term_normal(term, laws, data):
