@@ -12,17 +12,18 @@ D^2 = 0 on products and making the two commute.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import Collection
 
 from .errors import SlotError
 from .terms import (
     DEFAULT_LAWS,
+    Coefficient,
     DiffKind,
     DiffLaws,
     Factor,
     Monomial,
     Term,
+    _integral,
     canonical_stack,
     stack_vanishes,
 )
@@ -99,7 +100,7 @@ def apply_differential(
                 raise SlotError(f"slot {slot} out of range for arity {arity}")
     # only the kills show the order in which monomials are visited
     summands = term.summands() if kills is None else term.items()
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     for monomial, coeff in summands:
         factors = monomial.factors
         odd = False
@@ -116,7 +117,7 @@ def apply_differential(
                     out[new] = signed if total is None else total + signed
             if koszul and parity:
                 odd = not odd
-    return Term._from_normal({m: c for m, c in out.items() if c})
+    return Term._from_normal({m: _integral(c) for m, c in out.items() if c})
 
 
 def apply_slot_differential(

@@ -599,12 +599,14 @@ def build_session(
                 check_coherence(cond, literal_m)
                 conditions.append(cond)
             elif isinstance(st, Definition):
-                _, heads, noun, count_error = DEFINITIONS[st.statement]
+                word, heads, noun, count_error = DEFINITIONS[st.statement]
                 defined = definitions[st.statement]
                 if st.name in defined:
                     raise fail(f"{noun} {st.name!r} already defined")
                 for n in (*st.heads, *st.completions):
                     registry.get(n)
+                if heads and len(st.heads) != heads:
+                    raise fail(f"{word} needs exactly {heads} head(s), got {len(st.heads)}")
                 need = 4 if heads else len(st.heads) + 1
                 if len(st.completions) != need:
                     raise fail(count_error.format(

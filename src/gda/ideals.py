@@ -14,12 +14,12 @@ from the coherence equations.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ArityError, IdealError
 from .terms import (
     DEFAULT_LAWS,
+    Coefficient,
     DiffLaws,
     Factor,
     GeneratorSymbol,
@@ -70,7 +70,7 @@ class IdealRegistry:
 
     def reduce_with_trace(self, term: Term) -> tuple[Term, list[tuple[str, Monomial]]]:
         """Reduce a normal term and report each deletion as (reason, monomial)."""
-        kept: dict[Monomial, Fraction] = {}
+        kept: dict[Monomial, Coefficient] = {}
         deleted: list[tuple[str, Monomial]] = []
         for monomial, coeff in term.summands():
             reason = self.monomial_vanishes(monomial)

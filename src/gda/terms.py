@@ -10,8 +10,9 @@ first differential shifts (n, m) by (+1, -1), the second shifts kappa by
 +1.  A product of factors lands at the componentwise sum of the factor
 indices, minus declared per-factor overlap counts (r on n, t on m).
 
-All coefficients are fractions.Fraction, so arithmetic is exact; a
-coefficient that is not an int or a Fraction raises TypeError.
+Coefficients are exact: an int wherever the value is integral and a
+fractions.Fraction only where it is not; a coefficient that is not an
+int or a Fraction raises TypeError.
 
 Indices, laws, bounds and generator symbols are named tuples.  Factors
 and monomials are frozen slotted values that compute their hash once and
@@ -326,34 +327,49 @@ class Monomial:
         return self._text
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Coefficient = int | Fraction
 
 
-def _exact(coeff) -> Fraction:
-    """The coefficient as a Fraction; anything but an int or a Fraction
-    (a float above all) is refused rather than silently rounded."""
-    if isinstance(coeff, Fraction):
+def _integral(q: Coefficient) -> Coefficient:
+    """q as an int when its value is integral, else q unchanged."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
+def _exact(coeff) -> Coefficient:
+    """The coefficient as a plain int or a non-integral Fraction; anything
+    but an int or a Fraction (a float above all) is refused rather than
+    silently rounded."""
+    if type(coeff) is int:
         return coeff
     if isinstance(coeff, int):
-        return Fraction(coeff)
+        return int(coeff)
+    if isinstance(coeff, Fraction):
+        return _integral(coeff)
     raise TypeError(
         f"term coefficients must be int or Fraction, not {type(coeff).__name__}"
     )
 
 
-def _by_monomial(item: tuple[Monomial, Fraction]):
+def exact_quotient(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b exactly: an int when the division is exact, else a Fraction."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _integral(Fraction(a) / b)
+
+
+def _by_monomial(item: tuple[Monomial, Coefficient]):
     return item[0].sort_key()
 
 
 class Term:
     """A finite rational combination of monomials, kept normalized:
-    every stored coefficient is a nonzero Fraction."""
+    every stored coefficient is a nonzero int, or a Fraction whose
+    denominator is not 1."""
 
     __slots__ = ("_summands",)
 
-    def __init__(self, summands: Mapping[Monomial, Fraction | int] | None = None):
-        data: dict[Monomial, Fraction] = {}
+    def __init__(self, summands: Mapping[Monomial, Coefficient] | None = None):
+        data: dict[Monomial, Coefficient] = {}
         if summands:
             for mono, coeff in summands.items():
                 q = _exact(coeff)
@@ -363,9 +379,9 @@ class Term:
 
     # --- constructors -------------------------------------------------
     @classmethod
-    def _from_normal(cls, summands: dict[Monomial, Fraction]) -> "Term":
-        """Adopt a dict that is already normal (nonzero Fraction values)
-        without copying or checking it."""
+    def _from_normal(cls, summands: dict[Monomial, Coefficient]) -> "Term":
+        """Adopt a dict that is already normal (nonzero int or
+        non-integral Fraction values) without copying or checking it."""
         term = object.__new__(cls)
         term._summands = summands
         return term
@@ -375,11 +391,11 @@ class Term:
         return cls()
 
     @classmethod
-    def from_monomial(cls, monomial: Monomial, coeff: Fraction | int = 1) -> "Term":
+    def from_monomial(cls, monomial: Monomial, coeff: Coefficient = 1) -> "Term":
         return cls({monomial: coeff})
 
     @classmethod
-    def from_factor(cls, factor: Factor, coeff: Fraction | int = 1) -> "Term":
+    def from_factor(cls, factor: Factor, coeff: Coefficient = 1) -> "Term":
         return cls({Monomial((factor,)): coeff})
 
     # --- inspection ---------------------------------------------------
@@ -387,12 +403,12 @@ class Term:
     def is_zero(self) -> bool:
         return not self._summands
 
-    def items(self) -> list[tuple[Monomial, Fraction]]:
+    def items(self) -> list[tuple[Monomial, Coefficient]]:
         """(monomial, coefficient) pairs in monomial sort order, the
         order every rendering and trace shows."""
         return sorted(self._summands.items(), key=_by_monomial)
 
-    def summands(self) -> ItemsView[Monomial, Fraction]:
+    def summands(self) -> ItemsView[Monomial, Coefficient]:
         """(monomial, coefficient) pairs in no particular order, for sums
         and lookups whose result does not depend on it."""
         return self._summands.items()
@@ -400,13 +416,13 @@ class Term:
     def monomials(self) -> list[Monomial]:
         return [m for m, _ in self.items()]
 
-    def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._summands.get(monomial, _ZERO)
+    def coefficient(self, monomial: Monomial) -> Coefficient:
+        return self._summands.get(monomial, 0)
 
     def __len__(self) -> int:
         return len(self._summands)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, Coefficient]]:
         return iter(self.items())
 
     def indices(self, literal_m: bool = False) -> set[Index]:
@@ -420,7 +436,7 @@ class Term:
         return None
 
     # --- arithmetic ---------------------------------------------------
-    def _merged(self, summands: Iterable[tuple[Monomial, Fraction]]) -> "Term":
+    def _merged(self, summands: Iterable[tuple[Monomial, Coefficient]]) -> "Term":
         merged = dict(self._summands)
         for mono, coeff in summands:
             total = merged.get(mono)
@@ -429,7 +445,7 @@ class Term:
             else:
                 total += coeff
                 if total:
-                    merged[mono] = total
+                    merged[mono] = _integral(total)
                 else:
                     del merged[mono]
         return Term._from_normal(merged)
@@ -449,7 +465,7 @@ class Term:
         q = _exact(other)
         if not q:
             return Term()
-        return Term._from_normal({m: c * q for m, c in self._summands.items()})
+        return Term._from_normal({m: _integral(c * q) for m, c in self._summands.items()})
 
     __rmul__ = __mul__
 
@@ -479,7 +495,7 @@ def add(left: Term, right: Term, strict: bool = True) -> Term:
     return result
 
 
-def scale(coeff: Fraction | int, term: Term) -> Term:
+def scale(coeff: Coefficient, term: Term) -> Term:
     return term * coeff
 
 
@@ -488,8 +504,8 @@ def multiply(terms: Sequence[Term]) -> Term:
     the overlap pair its monomial carries."""
     # partial products stay bare tuples; each distinct product becomes
     # one Monomial at the end
-    partial: list[tuple[tuple[Factor, ...], tuple[tuple[int, int], ...], Fraction]] = [
-        ((), (), _ONE)
+    partial: list[tuple[tuple[Factor, ...], tuple[tuple[int, int], ...], Coefficient]] = [
+        ((), (), 1)
     ]
     for term in terms:
         summands = term._summands.items()
@@ -500,12 +516,12 @@ def multiply(terms: Sequence[Term]) -> Term:
         ]
         if not partial:
             break
-    result: dict[Monomial, Fraction] = {}
+    result: dict[Monomial, Coefficient] = {}
     for factors, overlaps, coeff in partial:
         mono = Monomial(factors, overlaps)
         total = result.get(mono)
         result[mono] = coeff if total is None else total + coeff
-    return Term._from_normal({m: c for m, c in result.items() if c})
+    return Term._from_normal({m: _integral(c) for m, c in result.items() if c})
 
 
 def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
@@ -515,7 +531,7 @@ def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
     place where a term assembled from raw stacks meets the laws, so pass it
     through here before reducing it modulo the ideals.
     """
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     for mono, coeff in term.summands():
         factors = []
         dead = False
@@ -528,13 +544,13 @@ def normalize(term: Term, laws: DiffLaws = DEFAULT_LAWS) -> Term:
         if dead:
             continue
         new = Monomial(tuple(factors), mono.overlaps)
-        out[new] = out.get(new, _ZERO) + coeff
+        out[new] = out.get(new, 0) + coeff
     return Term(out)
 
 
 # --- rendering --------------------------------------------------------
 
-def _coeff_prefix(coeff: Fraction) -> str:
+def _coeff_prefix(coeff: Coefficient) -> str:
     if coeff == 1:
         return ""
     if coeff == -1:

@@ -15,7 +15,6 @@ monomials is present with one common coefficient ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
@@ -28,12 +27,14 @@ from .errors import HypothesisError, LayoutError
 from .ideals import IdealKind, IdealRegistry
 from .terms import (
     DEFAULT_LAWS,
+    Coefficient,
     DiffKind,
     DiffLaws,
     Factor,
     Monomial,
     Term,
     add,
+    exact_quotient,
     multiply,
     render_term,
     stack_vanishes,
@@ -243,14 +244,14 @@ def build_closure_set(
 
 # --- cancellation machinery -------------------------------------------
 
-def _match_ratio(term: Term, items: list[tuple[Monomial, Fraction]]) -> Fraction | None:
+def _match_ratio(term: Term, items: list[tuple[Monomial, Coefficient]]) -> Coefficient | None:
     """The one ratio at which term holds every (monomial, coefficient)
     of a nonzero hypothesis, or None."""
     first_mono, first_coeff = items[0]
     present = term.coefficient(first_mono)
     if not present:
         return None
-    ratio = present / first_coeff
+    ratio = exact_quotient(present, first_coeff)
     for mono, coeff in items[1:]:
         if term.coefficient(mono) != ratio * coeff:
             return None
@@ -389,7 +390,7 @@ def verify_independence(
                 f"re-expansion of the candidate for {mono} left {render_term(remaining)}"
             )
             continue
-        contribution = Term({candidate: coeff / scale})
+        contribution = Term({candidate: exact_quotient(coeff, scale)})
         primitive = primitive + contribution
         trace.append(TraceStep("primitive", mono, contribution))
 
@@ -413,7 +414,7 @@ def _strip_inner(factor: Factor, setup: VerifierSetup) -> Factor | None:
     return None
 
 
-def _single_monomial_ratio(term: Term, mono: Monomial) -> Fraction | None:
+def _single_monomial_ratio(term: Term, mono: Monomial) -> Coefficient | None:
     if len(term) != 1:
         return None
     return term.coefficient(mono) or None

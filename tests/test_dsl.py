@@ -215,6 +215,28 @@ def test_class_and_hypotheses_need_four_completions():
     assert s.class_term("C").index() is not None
 
 
+def test_definitions_built_in_code_need_their_head_count():
+    # the parser reads exactly the heads a statement takes; a Definition
+    # built in code must meet the same count when the session is built
+    base = parse_text(
+        "gen phi index (1,1,0);\ngen eta index (1,1,0);\n"
+        + "".join(f"gen P{i} index (0,0,0);\n" for i in range(1, 5))
+    )
+    comps = ("P1", "P2", "P3", "P4")
+    for statement, heads, word, need in (
+        ("hypotheses", ("phi",), "closure", 2),
+        ("class", ("phi", "eta"), "invariant", 1),
+    ):
+        bad = Definition(statement, "X", heads, comps, 7, 3)
+        with pytest.raises(GdaSyntaxError) as err:
+            build_session(base + [bad], "x.gda")
+        assert str(err.value) == (
+            f"x.gda:7:3: error: {word} needs exactly {need} head(s), got {len(heads)}"
+        )
+    good = build_session(base + [Definition("hypotheses", "H", ("phi", "eta"), comps)])
+    assert good.hypothesis_decls["H"].heads == ("phi", "eta")
+
+
 def test_duplicate_class_names_rejected():
     text = (
         "gen phi index (1,1,0);\n"

@@ -23,6 +23,7 @@ from gda import (
     Term,
     ZERO_INDEX,
     add,
+    apply_differential,
     classify_push,
     multiply,
     normalize,
@@ -178,7 +179,43 @@ def test_inexact_coefficients_are_refused(reg):
             Term.from_monomial(mono, bad)
     assert render_term(scale(Fraction(1, 10), t)) == "1/10*(a)"
     assert render_term(t * 3) == "3*(a)"
-    assert t.coefficient(mono) == 1 and type(t.coefficient(mono)) is Fraction
+    assert t.coefficient(mono) == 1 and type(t.coefficient(mono)) is int
+
+
+def test_integral_coefficients_are_stored_as_ints(reg):
+    a = reg.declare("a", Index(1, 0, 0))
+    mono = Monomial((Factor(a),))
+    half = Term({mono: Fraction(1, 2)})
+    assert type(half.coefficient(mono)) is Fraction
+    for term in (
+        Term({mono: Fraction(4, 2)}),
+        half + half,
+        half * Fraction(2, 1),
+        multiply([half, Term({Monomial(()): 4})]),
+        normalize(half + half + half + half),
+    ):
+        coeff = term.coefficient(mono)
+        assert type(coeff) is int and coeff in (1, 2)
+    assert Term({mono: Fraction(4, 2)}).coefficient(mono) == 2
+    assert (half * Fraction(2, 1)).coefficient(mono) == 1
+    one = Term({mono: True})
+    assert type(one.coefficient(mono)) is int and one.coefficient(mono) == 1
+    assert render_term(one) == render_term(Term({mono: 1})) == "(a)"
+    assert render_term(half * 3) == "3/2*(a)"
+    for bad in (1.0, Decimal(2)):
+        with pytest.raises(TypeError):
+            Term({mono: bad})
+        with pytest.raises(TypeError):
+            half * bad
+    # d((a.d, b)/2 + (a, b.d)/2) = (a.d, b.d): two halves meet in the product rule
+    b = reg.declare("b", Index(0, 1, 0))
+    da, db = Factor(a, (DiffKind.delta,)), Factor(b, (DiffKind.delta,))
+    both = Monomial((da, db))
+    halves = Term({
+        Monomial((da, Factor(b))): Fraction(1, 2), Monomial((Factor(a), db)): Fraction(1, 2)
+    })
+    assert apply_differential(DiffKind.delta, halves) == Term({both: 1})
+    assert type(apply_differential(DiffKind.delta, halves).coefficient(both)) is int
 
 
 def test_pickled_term_from_another_process_keeps_its_lookups():

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,30 @@ def test_cancel_hypotheses_does_not_depend_on_summand_order():
     assert cancel_hypotheses(sums[3], flipped)[0] == stray
 
 
+def normal_coefficients(term: Term) -> bool:
+    """Every stored coefficient is a nonzero int or a non-integral Fraction."""
+    return all(
+        c != 0 if type(c) is int else type(c) is Fraction and c.denominator != 1
+        for _, c in term.summands()
+    )
+
+
+def test_cancel_hypotheses_at_integral_and_fractional_ratios():
+    # ratio 2 divides two ints, ratio 3/2 a Fraction by an int; both
+    # quotients are exact, so no float reaches a term
+    reg, phi, eta, comps, ideals, setup = standard_context()
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    h1 = closure_set.find(("phi", "phi", "phi"), 0)
+    h2 = closure_set.find(("eta", "phi", "eta"), 1)
+    stray = scale(Fraction(1, 2), Term.from_factor(phi))
+    term = scale(2, h1.term) + scale(Fraction(3, 2), h2.term) + stray
+    out, steps = cancel_hypotheses(term, closure_set.conditions)
+    assert out == stray and normal_coefficients(out)
+    assert [s.rule for s in steps] == [f"hypothesis:{h.tag}" for h in (h1, h2)]
+    assert [s.after for s in steps] == [scale(Fraction(3, 2), h2.term) + stray, stray]
+    assert all(normal_coefficients(s.after) for s in steps)
+
+
 def test_reduce_modulo_traces_ideal_deletions():
     reg, phi, eta, comps, ideals, setup = standard_context()
     term = build_class(phi, comps, setup)
@@ -222,6 +247,21 @@ def test_verify_independence_builds_seven_summand_primitive():
     assert report.ok
     assert report.primitive is not None
     assert len(report.primitive.monomials()) == 7
+
+
+def test_shipped_primitive_has_int_coefficients():
+    # each primitive coefficient is a quotient of two ints that divide exactly
+    session = load_session(CLASS_FILE)
+    phi, comps = session.class_parts("INV")
+    report = verify_independence(
+        phi, session.factor("eta"), comps, session.closure_set("H"), session.ideals,
+        session.setup,
+    )
+    assert report.ok and len(report.primitive) == 7
+    assert all(type(c) is int for _, c in report.primitive.summands())
+    for step in report.trace:
+        if isinstance(step.after, Term):
+            assert normal_coefficients(step.after)
 
 
 def test_verify_independence_ablation_names_the_cross():
