@@ -16,10 +16,11 @@ every basis mask, and each kernel basis once per (kind, parity).
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import AssignmentError, ModelError
-from .terms import DiffKind, Term, _frozen, _set
+from .terms import DiffKind, Monomial, Term, _frozen, _set
 
 Coefficient = int | Fraction
 Element = dict[int, Coefficient]
@@ -82,12 +83,16 @@ def wedge(field_name: str, a: Element, b: Element) -> Element:
                     m = ma | mb
                     acc[m] = acc.get(m, 0) + ca * cb
     else:
-        for ma, ca in a.items():
-            odd = _ODD_CROSSINGS[ma]
-            for mb, cb in b.items():
-                if not ma & mb:
-                    m = ma | mb
-                    acc[m] = acc.get(m, 0) + (-ca * cb if odd[mb] else ca * cb)
+        try:
+            for ma, ca in a.items():
+                odd = _ODD_CROSSINGS[ma]
+                for mb, cb in b.items():
+                    if not ma & mb:
+                        m = ma | mb
+                        acc[m] = acc.get(m, 0) + (-ca * cb if odd[mb] else ca * cb)
+        except IndexError:
+            bad = ma if ma >= len(_ODD_CROSSINGS) else mb
+            raise ModelError(f"element mask {bad} outside the algebra") from None
     return _reduced(field_name, acc)
 
 
@@ -115,9 +120,10 @@ def _basis_image(field_name: str, table: dict[int, Element], mask: int) -> Eleme
 class Model:
     """k generators over a field ("q" or "gf2"), one table per differential,
     and from the tables: each derivation's image of every basis mask, the
-    basis masks per parity (None: all) and the kernels solved per (kind, parity)."""
+    basis masks per parity (None: all) and as a set, and the kernels
+    solved per (kind, parity)."""
 
-    __slots__ = ("k", "field", "tables", "images", "masks", "kernels")
+    __slots__ = ("k", "field", "tables", "images", "masks", "basis_set", "kernels")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, k: int, field: str, tables: dict[DiffKind, dict[int, Element]]):
@@ -126,13 +132,14 @@ class Model:
         _set(self, "tables", tables)
         basis = self.basis
         _set(self, "images", {
-            kind: [_basis_image(field, table, mask) for mask in basis]
+            kind: {mask: _basis_image(field, table, mask) for mask in basis}
             for kind, table in tables.items()
         })
         masks: dict[int | None, list[int]] = {None: basis, 0: [], 1: []}
         for mask in basis:
             masks[_popcount(mask) % 2].append(mask)
         _set(self, "masks", masks)
+        _set(self, "basis_set", frozenset(basis))
         _set(self, "kernels", {})
 
     def __reduce__(self):
@@ -153,7 +160,7 @@ def _derive(model: Model, kind: DiffKind, element: Element) -> Element:
         for mask, c in element.items():
             for m, v in images[mask].items():
                 acc[m] = acc.get(m, 0) + c * v
-    except IndexError:
+    except KeyError:
         raise ModelError(f"element mask {mask} outside the algebra") from None
     return _reduced(model.field, acc)
 
@@ -214,27 +221,58 @@ def evaluate(term: Term, model: Model, assignment: dict[str, Element]) -> Elemen
     for the stacks, wedge for the products.  Overlap annotations carry
     no numeric content and are ignored.
 
-    Each (generator, stack) value is computed once per call.  A monomial
-    stops multiplying once its product is zero, but its remaining
-    factors still need a value and a table, as does its coefficient a
-    value in the field."""
+    The summands are walked unsorted, since the sum does not depend on
+    their order.  Each factor's value, and the product of each distinct
+    run of leading factors, is computed once per call, so monomials
+    that share a prefix share its multiplications.  A monomial stops
+    multiplying once its product is zero, but its remaining factors
+    still need a value in the algebra and a table, as does its
+    coefficient a value in the field.  When one of those is missing,
+    the walk is repeated in term order, so the error raised is the
+    first monomial's in that order."""
+    try:
+        return _evaluate(term.summands(), model, assignment)
+    except (AssignmentError, ModelError):
+        return _evaluate(term.items(), model, assignment)
+
+
+def _evaluate(
+    summands: Iterable[tuple[Monomial, Coefficient]], model: Model, assignment: dict[str, Element]
+) -> Element:
     field_name = model.field
+    basis = model.basis_set
     values: dict[tuple, Element] = {}
+    # a trie of factor prefixes: each node maps the next factor's sort
+    # key, its generator name and stack, to the node it leads to and the
+    # product of the prefix ending there
+    root: dict = {}
+    one: Element = {0: 1}
     acc: dict[int, Coefficient] = {}
-    for mono, coeff in term:
-        product: Element = {0: 1}
+    for mono, coeff in summands:
+        node, product = root, one
         for factor in mono.factors:
-            key = (factor.generator.name, factor.diffs)
-            v = values.get(key)
-            if v is None:
-                if key[0] not in assignment:
-                    raise AssignmentError(f"no value assigned to {key[0]}")
-                v = assignment[key[0]]
-                for kind in factor.diffs:
-                    v = _derive(model, kind, v)
-                values[key] = v
-            if product:
-                product = wedge(field_name, product, v)
+            key = factor._key
+            step = node.get(key)
+            if step is None:
+                v = values.get(key)
+                if v is None:
+                    name = key[0]
+                    if name not in assignment:
+                        raise AssignmentError(f"no value assigned to {name}")
+                    v = assignment[name]
+                    if not basis.issuperset(v):
+                        bad = next(m for m in v if m not in basis)
+                        raise ModelError(f"element mask {bad} outside the algebra")
+                    for kind in factor.diffs:
+                        v = _derive(model, kind, v)
+                    values[key] = v
+                if product is one:
+                    # wedge({0: 1}, v) without its products: v in the field
+                    product = _reduced(field_name, v)
+                elif product:
+                    product = wedge(field_name, product, v)
+                step = node[key] = ({}, product)
+            node, product = step
         c = _coeff(field_name, coeff)
         if c:
             for m, v in product.items():
@@ -242,22 +280,29 @@ def evaluate(term: Term, model: Model, assignment: dict[str, Element]) -> Elemen
     return _reduced(field_name, acc)
 
 
-def random_element(
-    model: Model, rng: random.Random, parity: int | None = None
-) -> Element:
-    # rng.randint(low, low + width - 1) without its call layers: the same
-    # rejection sampling on getrandbits, so the same values and end state
-    low, width, bits = (0, 2, 2) if model.field == "gf2" else (-3, 7, 3)
+def _draws(rng: random.Random, keys: Iterable, low: int, high: int) -> dict:
+    # rng.randint(low, high) for each key in turn, without its call layers:
+    # the same rejection sampling on getrandbits, so the same values and
+    # end state; the nonzero draws by key
+    width = high - low + 1
+    bits = width.bit_length()
     getrandbits = rng.getrandbits
-    out: Element = {}
-    for mask in model.masks[None if parity is None else parity % 2]:
+    out = {}
+    for key in keys:
         r = getrandbits(bits)
         while r >= width:
             r = getrandbits(bits)
         c = low + r
         if c:
-            out[mask] = c
+            out[key] = c
     return out
+
+
+def random_element(
+    model: Model, rng: random.Random, parity: int | None = None
+) -> Element:
+    low, high = (0, 1) if model.field == "gf2" else (-3, 3)
+    return _draws(rng, model.masks[None if parity is None else parity % 2], low, high)
 
 
 def kernel_basis(model: Model, kind: DiffKind, parity: int | None = None) -> list[Element]:
@@ -322,11 +367,9 @@ def random_in_span(model: Model, basis: list[Element], rng: random.Random) -> El
     """Random combination of basis vectors with small coefficients."""
     low, high = (0, 1) if model.field == "gf2" else (-2, 2)
     acc: dict[int, Coefficient] = {}
-    for vec in basis:
-        c = rng.randint(low, high)
-        if c:
-            for m, v in vec.items():
-                acc[m] = acc.get(m, 0) + c * v
+    for i, c in _draws(rng, range(len(basis)), low, high).items():
+        for m, v in basis[i].items():
+            acc[m] = acc.get(m, 0) + c * v
     return _reduced(model.field, acc)
 
 

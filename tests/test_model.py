@@ -1,8 +1,10 @@
 """Finite exterior-algebra models used for numeric spot checks."""
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gda import (
     AssignmentError,
@@ -24,7 +26,7 @@ from gda import (
     random_kernel_element,
     wedge,
 )
-from gda.model import random_in_span
+from gda.model import _coeff, _derive, _reduced, random_in_span
 
 D = DiffKind.delta
 DD = DiffKind.Delta
@@ -269,3 +271,149 @@ def test_check_identity_and_product_rule_in_model():
     lhs_val = evaluate(symbolic, m, assignment)
     rhs_val = derive_element(m, D, evaluate(term, m, assignment))
     assert lhs_val == rhs_val
+
+
+def test_masks_outside_the_algebra_raise_model_errors():
+    # a negative mask would index the derivation images from the end, and
+    # a mask past the crossing table would end in a raw IndexError
+    with pytest.raises(ModelError, match="mask -1 outside the algebra"):
+        derive_element(corner_model(), D, {-1: 1})
+    with pytest.raises(ModelError, match="mask 64 outside the algebra"):
+        wedge("q", {64: 1}, {1: 1})
+    with pytest.raises(ModelError, match="mask 64 outside the algebra"):
+        wedge("q", {1: 1}, {64: 1})
+
+
+@pytest.mark.parametrize("parity", [None, 0, 1])
+@pytest.mark.parametrize("make_model", [corner_model, raising_model])
+def test_span_draws_are_what_randint_draws(make_model, parity):
+    # one randint(low, high) per basis vector, in basis order, and the
+    # generator left in the same state
+    m = make_model()
+    low, high = (0, 1) if m.field == "gf2" else (-2, 2)
+    for kind in m.tables:
+        basis = kernel_basis(m, kind, parity)
+        for seed in range(30):
+            for draw in (
+                lambda rng: random_in_span(m, basis, rng),
+                lambda rng: random_kernel_element(m, kind, rng, parity),
+            ):
+                rng, twin = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    expected = _combine(m.field, *((twin.randint(low, high), vec) for vec in basis))
+                    assert list(draw(rng).items()) == list(expected.items())
+                assert rng.random() == twin.random()
+
+
+def _reference_evaluate(term: Term, model, assignment):
+    # the evaluator as it was before prefix products were shared: every
+    # monomial multiplied from scratch, summands in term order
+    field_name = model.field
+    values: dict[tuple, dict] = {}
+    acc: dict = {}
+    for mono, coeff in term:
+        product = {0: 1}
+        for factor in mono.factors:
+            key = (factor.generator.name, factor.diffs)
+            v = values.get(key)
+            if v is None:
+                if key[0] not in assignment:
+                    raise AssignmentError(f"no value assigned to {key[0]}")
+                v = assignment[key[0]]
+                for kind in factor.diffs:
+                    v = _derive(model, kind, v)
+                values[key] = v
+            if product:
+                product = wedge(field_name, product, v)
+        c = _coeff(field_name, coeff)
+        if c:
+            for m, v in product.items():
+                acc[m] = acc.get(m, 0) + c * v
+    return _reduced(field_name, acc)
+
+
+_EVAL_REG = SymbolRegistry()
+_EVAL_GENS = [_EVAL_REG.declare(name, Index(1, 0, 0)) for name in ("a", "b", "c")]
+_EVAL_MODELS = {"gf2": corner_model(), "q": raising_model()}
+
+
+@functools.cache
+def _eval_strategies(big_delta: bool, even: bool):
+    # factors, coefficients and elements: big_delta lets stacks hold a
+    # Delta, even lets denominators be even
+    stacks = [(), (D,)] + ([(DD,), (D, DD)] if big_delta else [])
+    denominators = [1, 2, 3, 4] if even else [1, 3]
+    coefficients = st.one_of(
+        st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.sampled_from(denominators))
+    )
+    factors = st.builds(Factor, st.sampled_from(_EVAL_GENS), st.sampled_from(stacks))
+    # an empty element makes a zero product
+    elements = st.dictionaries(st.integers(0, 15), coefficients, max_size=8)
+    return factors, coefficients, elements
+
+
+@st.composite
+def _evaluation_cases(draw):
+    model = _EVAL_MODELS[draw(st.sampled_from(sorted(_EVAL_MODELS)))]
+    # most cases have a value; the rest carry one fault evaluate reports:
+    # a generator with no value, a stack with no table (only the rational
+    # model lacks one) or an even denominator over the two-element field
+    fault = draw(st.sampled_from([None, None, None, "generator", "table", "denominator"]))
+    factors, coefficients, elements = _eval_strategies(
+        model.field == "gf2" or fault == "table", model.field == "q" or fault == "denominator"
+    )
+    # monomials grown from a few shared stems, stored in drawn order
+    stems = draw(st.lists(st.lists(factors, max_size=3), min_size=1, max_size=3))
+    summands = {}
+    for _ in range(draw(st.integers(1, 6))):
+        stem = draw(st.sampled_from(stems))
+        summands[Monomial(tuple(stem + draw(st.lists(factors, max_size=2))))] = draw(coefficients)
+    assignment = {g.name: draw(elements) for g in _EVAL_GENS}
+    if fault == "generator":
+        for name in draw(st.sets(st.sampled_from(sorted(assignment)), min_size=1, max_size=2)):
+            del assignment[name]
+    return Term(summands), model, assignment
+
+
+def _outcome(evaluator, term, model, assignment):
+    try:
+        value = evaluator(term, model, assignment)
+    except (AssignmentError, ModelError) as exc:
+        return type(exc), str(exc)
+    return sorted((m, type(c), c) for m, c in value.items())
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_evaluation_cases())
+def test_evaluate_matches_the_reference_evaluator(case):
+    term, model, assignment = case
+    expected = _outcome(_reference_evaluate, term, model, assignment)
+    assert _outcome(evaluate, term, model, assignment) == expected
+
+
+def test_evaluate_names_the_first_missing_generator_in_term_order():
+    a, b = _EVAL_GENS[:2]
+    # stored b-first, but a's monomial comes first in term order
+    term = Term({Monomial((Factor(b),)): 1, Monomial((Factor(a),)): 1})
+    assert [m for m, _ in term.summands()] != term.monomials()
+    for model in _EVAL_MODELS.values():
+        with pytest.raises(AssignmentError, match="^no value assigned to a$"):
+            evaluate(term, model, {})
+
+
+def test_evaluate_reads_a_first_factor_in_the_field_before_multiplying():
+    # as wedge({0: 1}, value) reads it: the even denominator is an error
+    # even though every product it starts is zero
+    a, b = _EVAL_GENS[:2]
+    term = Term.from_monomial(Monomial((Factor(a), Factor(b))))
+    with pytest.raises(ModelError, match="even denominator"):
+        evaluate(term, corner_model(), {"a": {1: Fraction(1, 2)}, "b": {1: 1}})
+
+
+@pytest.mark.parametrize("mask", [-1, 16, 64])
+@pytest.mark.parametrize("make_model", [corner_model, raising_model])
+def test_evaluate_rejects_assigned_masks_outside_the_algebra(make_model, mask):
+    a = _EVAL_GENS[0]
+    for factor in (Factor(a), Factor(a, (D,))):
+        with pytest.raises(ModelError, match=f"mask {mask} outside the algebra"):
+            evaluate(Term.from_factor(factor), make_model(), {"a": {1: 1, mask: 1}})
