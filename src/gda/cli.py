@@ -20,10 +20,9 @@ from .model import (
     corner_model,
     derive_element,
     evaluate,
-    kernel_basis,
     raising_model,
     random_element,
-    random_in_span,
+    random_kernel_element,
 )
 from .terms import (
     DiffKind,
@@ -121,8 +120,6 @@ def _cmd_model_check(args) -> int:
         for name in session.registry.names()
         if not session.registry.get(name).fresh
     ]
-    # a d-closed generator takes values in the kernel of d; one basis per parity
-    kernels: dict[int | None, list] = {}
     notes: list[str] = []
     status = "ok"
     if not gens:
@@ -140,9 +137,8 @@ def _cmd_model_check(args) -> int:
             for sym in gens:
                 parity = sym.index.n % 2 if model.field == "q" else None
                 if sym.closed_under(d):
-                    if parity not in kernels:
-                        kernels[parity] = kernel_basis(model, d, parity)
-                    assignment[sym.name] = random_in_span(model, kernels[parity], rng)
+                    # a d-closed generator takes values in the kernel of d
+                    assignment[sym.name] = random_kernel_element(model, d, rng, parity)
                 else:
                     assignment[sym.name] = random_element(model, rng, parity)
             symbolic = apply_differential(

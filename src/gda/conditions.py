@@ -121,20 +121,14 @@ def check_coherence(cond: Condition, literal_m: bool = False) -> None:
 
 # --- derivation trees -------------------------------------------------
 
-class TreeNode:
-    __slots__ = ("id", "depth", "edge", "condition", "note", "parent", "children")
-
-    def __init__(
-        self, id: int, depth: int, edge: str, condition: Condition,
-        note: str | None = None, parent: int | None = None,
-    ):
-        self.id = id
-        self.depth = depth
-        self.edge = edge
-        self.condition = condition
-        self.note = note
-        self.parent = parent
-        self.children: list[int] = []
+class TreeNode(NamedTuple):
+    id: int
+    depth: int
+    edge: str
+    condition: Condition
+    note: str | None
+    parent: int | None
+    children: list[int]
 
 
 class PeriodicFamily(NamedTuple):
@@ -197,16 +191,13 @@ class PeriodicFamily(NamedTuple):
         return conds
 
 
-class DerivationTree:
-    __slots__ = ("start", "depth", "sign", "d", "nodes", "families")
-
-    def __init__(self, start: str, depth: int, sign: SignMode, d: DiffKind):
-        self.start = start
-        self.depth = depth
-        self.sign = sign
-        self.d = d
-        self.nodes: list[TreeNode] = []
-        self.families: list[PeriodicFamily] = []
+class DerivationTree(NamedTuple):
+    start: str
+    depth: int
+    sign: SignMode
+    d: DiffKind
+    nodes: list[TreeNode]
+    families: list[PeriodicFamily]
 
 
 def _seen_key(cond: Condition) -> tuple:
@@ -252,11 +243,11 @@ def derive_tree(
         raise ArityError("depth must be at least 1")
     if registry is None:
         registry = SymbolRegistry()
-    tree = DerivationTree(start.label, depth, sign, d)
+    tree = DerivationTree(start.label, depth, sign, d, [], [])
     seen: dict[tuple, int] = {}
 
     def add_node(cond: Condition, edge: str, parent: int | None, dp: int, note: str | None) -> TreeNode:
-        node = TreeNode(len(tree.nodes), dp, edge, cond, note, parent)
+        node = TreeNode(len(tree.nodes), dp, edge, cond, note, parent, [])
         tree.nodes.append(node)
         if parent is not None:
             tree.nodes[parent].children.append(node.id)
@@ -281,15 +272,13 @@ def derive_tree(
             if is_ancestor(prior, node.id):
                 _record_family(tree, prior, node.id, d)
             return
-        node = add_node(cond, edge, parent, dp, extra_note)
+        node = add_node(cond, edge, parent, dp, extra_note or ("depth" if dp >= depth else None))
         seen[key] = node.id
         expand(node)
 
     def expand(node: TreeNode) -> None:
         cond = node.condition
         if node.depth >= depth:
-            if node.note is None:
-                node.note = "depth"
             return
         dp = node.depth + 1
         # move 1: differentiate both sides

@@ -444,27 +444,16 @@ def _universal_newlines(text: str) -> str:
 
 # --- session building -------------------------------------------------
 
-class Session:
-    __slots__ = (
-        "registry", "ideals", "conditions", "hypothesis_decls", "class_decls",
-        "setup", "bounds", "literal_m", "statements",
-    )
-
-    def __init__(
-        self, registry: SymbolRegistry, ideals: IdealRegistry, conditions: list[Condition],
-        hypothesis_decls: dict[str, Definition],
-        class_decls: dict[str, Definition], setup: VerifierSetup,
-        bounds: IndexBounds, literal_m: bool, statements: list[Statement],
-    ):
-        self.registry = registry
-        self.ideals = ideals
-        self.conditions = conditions
-        self.hypothesis_decls = hypothesis_decls
-        self.class_decls = class_decls
-        self.setup = setup
-        self.bounds = bounds
-        self.literal_m = literal_m
-        self.statements = statements
+class Session(NamedTuple):
+    registry: SymbolRegistry
+    ideals: IdealRegistry
+    conditions: list[Condition]
+    hypothesis_decls: dict[str, Definition]
+    class_decls: dict[str, Definition]
+    setup: VerifierSetup
+    bounds: IndexBounds
+    literal_m: bool
+    statements: list[Statement]
 
     def factor(self, name: str) -> Factor:
         return Factor(self.registry.get(name))

@@ -48,6 +48,8 @@ def _crossing_parities(k: int) -> list[bytes]:
 
 
 _ODD_CROSSINGS = _crossing_parities(MAX_GENERATORS)
+# every mask an element can carry in a model of at most MAX_GENERATORS
+_MASKS = frozenset(range(1 << MAX_GENERATORS))
 
 
 def _coeff(field_name: str, value: Coefficient) -> Coefficient:
@@ -75,6 +77,9 @@ def _reduced(field_name: str, acc: dict[int, Coefficient]) -> Element:
 
 
 def wedge(field_name: str, a: Element, b: Element) -> Element:
+    if not (_MASKS.issuperset(a) and _MASKS.issuperset(b)):
+        bad = next(m for m in (*a, *b) if m not in _MASKS)
+        raise ModelError(f"element mask {bad} outside the algebra")
     acc: dict[int, Coefficient] = {}
     if field_name == "gf2":
         for ma, ca in a.items():
@@ -83,16 +88,12 @@ def wedge(field_name: str, a: Element, b: Element) -> Element:
                     m = ma | mb
                     acc[m] = acc.get(m, 0) + ca * cb
     else:
-        try:
-            for ma, ca in a.items():
-                odd = _ODD_CROSSINGS[ma]
-                for mb, cb in b.items():
-                    if not ma & mb:
-                        m = ma | mb
-                        acc[m] = acc.get(m, 0) + (-ca * cb if odd[mb] else ca * cb)
-        except IndexError:
-            bad = ma if ma >= len(_ODD_CROSSINGS) else mb
-            raise ModelError(f"element mask {bad} outside the algebra") from None
+        for ma, ca in a.items():
+            odd = _ODD_CROSSINGS[ma]
+            for mb, cb in b.items():
+                if not ma & mb:
+                    m = ma | mb
+                    acc[m] = acc.get(m, 0) + (-ca * cb if odd[mb] else ca * cb)
     return _reduced(field_name, acc)
 
 
@@ -309,11 +310,16 @@ def kernel_basis(model: Model, kind: DiffKind, parity: int | None = None) -> lis
     """Basis of the kernel of one extended derivation, by Gaussian
     elimination over the model's field.  Solved once per (kind, parity)
     on the model; every call gets fresh copies."""
+    return [dict(vec) for vec in _kernel(model, kind, parity)]
+
+
+def _kernel(model: Model, kind: DiffKind, parity: int | None) -> list[Element]:
+    # the model's memo itself, for callers that only read it
     key = (kind, None if parity is None else parity % 2)
     basis = model.kernels.get(key)
     if basis is None:
         basis = model.kernels[key] = _solve_kernel(model, kind, key[1])
-    return [dict(vec) for vec in basis]
+    return basis
 
 
 def _solve_kernel(model: Model, kind: DiffKind, parity: int | None) -> list[Element]:
@@ -360,7 +366,7 @@ def _solve_kernel(model: Model, kind: DiffKind, parity: int | None) -> list[Elem
 def random_kernel_element(
     model: Model, kind: DiffKind, rng: random.Random, parity: int | None = None
 ) -> Element:
-    return random_in_span(model, kernel_basis(model, kind, parity), rng)
+    return random_in_span(model, _kernel(model, kind, parity), rng)
 
 
 def random_in_span(model: Model, basis: list[Element], rng: random.Random) -> Element:

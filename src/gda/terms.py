@@ -425,8 +425,8 @@ class Term:
     def __iter__(self) -> Iterator[tuple[Monomial, Coefficient]]:
         return iter(self.items())
 
-    def indices(self, literal_m: bool = False) -> set[Index]:
-        return {m.index(literal_m=literal_m) for m in self._summands}
+    def indices(self) -> set[Index]:
+        return {m.index() for m in self._summands}
 
     def index(self) -> Index | None:
         """The common index of all monomials; None for zero or mixed terms."""
@@ -484,7 +484,7 @@ class Term:
 
 def add(left: Term, right: Term, strict: bool = True) -> Term:
     """Sum of two terms.  In strict mode both sides must be homogeneous
-    of the same index; the verifier passes strict=False internally."""
+    of the same index; strict=False sums terms of any indices."""
     result = left + right
     if strict:
         idxs = left.indices() | right.indices()

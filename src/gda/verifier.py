@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .differentials import (
     EpsilonMode,
@@ -61,19 +61,13 @@ class TraceStep(NamedTuple):
     after: Term | Monomial | str
 
 
-class VerificationReport:
-    __slots__ = ("claim", "status", "residual", "trace", "primitive", "notes")
-
-    def __init__(
-        self, claim: str, status: str, residual: Term, trace: list[TraceStep],
-        primitive: Term | None = None, notes: list[str] | None = None,
-    ):
-        self.claim = claim
-        self.status = status
-        self.residual = residual
-        self.trace = trace
-        self.primitive = primitive
-        self.notes = [] if notes is None else notes
+class VerificationReport(NamedTuple):
+    claim: str
+    status: str
+    residual: Term
+    trace: list[TraceStep]
+    primitive: Term | None = None
+    notes: Sequence[str] = ()
 
     @property
     def ok(self) -> bool:
@@ -171,11 +165,8 @@ class ClosureHypothesis(NamedTuple):
     term: Term
 
 
-class ClosureSet:
-    __slots__ = ("conditions",)
-
-    def __init__(self, conditions: list[ClosureHypothesis] | None = None):
-        self.conditions = [] if conditions is None else conditions
+class ClosureSet(NamedTuple):
+    conditions: list[ClosureHypothesis]
 
     def find(self, assignment: tuple[str, str, str], slot1_level: int) -> ClosureHypothesis | None:
         for h in self.conditions:
@@ -226,7 +217,7 @@ def build_closure_set(
             continue
         layout, slots = _layout(setup, completions, bases[i1][1], bases[i2][1], bases[i3][1], level)
         expanded[i1, i2, i3, level] = apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
-    closure_set = ClosureSet()
+    conditions = []
     for firsts, seconds, thirds in product([(0,), (1,), (0, 1)], repeat=3):
         names = tuple("+".join(bases[i][0] for i in part) for part in (firsts, seconds, thirds))
         if not first_kept:
@@ -238,8 +229,8 @@ def build_closure_set(
                 Term.zero(),
             )
             tag = f"{names[0]}|{names[1]}|{names[2]}|{'Dd' if level else 'D'}"
-            closure_set.conditions.append(ClosureHypothesis(tag, names, level, condition))
-    return closure_set
+            conditions.append(ClosureHypothesis(tag, names, level, condition))
+    return ClosureSet(conditions)
 
 
 # --- cancellation machinery -------------------------------------------

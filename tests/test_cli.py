@@ -2,6 +2,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import jsonschema
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_corpus
 from gda import GdaSyntaxError, build_session
 from gda.cli import _build_parser, main
 from gda.dsl import SETTINGS
@@ -17,6 +19,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
 CLASS_FILE = str(SESSIONS / "invariant_class.gda")
 GOLDEN = ROOT / "tests" / "golden"
+
+
+def test_cli_corpus_digests_are_unchanged(monkeypatch):
+    # exit code, stdout and stderr of each committed command; see
+    # tests/cli_corpus.py for how to regenerate the file
+    monkeypatch.chdir(ROOT)
+    entries = cli_corpus.read()
+    assert [argv for argv, _ in entries] == cli_corpus.commands()
+    changed = [shlex.join(argv) for argv, sha in entries if cli_corpus.digest(argv) != sha]
+    assert not changed, "output differs from tests/golden/cli_corpus.txt:\n" + "\n".join(changed)
 
 
 def test_check_reports_statement_count(capsys):

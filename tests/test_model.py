@@ -282,6 +282,15 @@ def test_masks_outside_the_algebra_raise_model_errors():
         wedge("q", {64: 1}, {1: 1})
     with pytest.raises(ModelError, match="mask 64 outside the algebra"):
         wedge("q", {1: 1}, {64: 1})
+    # a negative mask, or one past the largest algebra, in either field
+    # and on either side, even where it shares a generator with the other
+    for field_name in ("q", "gf2"):
+        for a, b, bad in [
+            ({64: 1}, {1: 1}, 64), ({1: 1}, {65: 1}, 65),
+            ({-2: 1}, {1: 1}, -2), ({1: 1}, {-1: 1}, -1),
+        ]:
+            with pytest.raises(ModelError, match=f"element mask {bad} outside the algebra"):
+                wedge(field_name, a, b)
 
 
 @pytest.mark.parametrize("parity", [None, 0, 1])

@@ -1,12 +1,14 @@
 """Record semantics: value equality and hashing, index order and
 arithmetic, immutability, and the verifier setup's dataclass interface;
-and a guard that no other record is a dataclass."""
+and guards that no other record is a dataclass and that every slotted
+record is a named tuple but the four that compute fields when built."""
 import copy
 import dataclasses
 import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +25,19 @@ from gda import (
     IndexBounds,
     Monomial,
     SignMode,
+    SymbolRegistry,
     Term,
+    VerificationReport,
     VerifierSetup,
     corner_model,
+    derive_tree,
+    load_session,
     parse_text,
+    standard_start,
 )
 from gda.dsl import Definition, GenStatement, SetStatement
+
+SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
 
 
 def _rhs():
@@ -103,6 +112,8 @@ def _immutable_cases():
     sym = GeneratorSymbol("a", Index(1, 0, 0))
     factor = Factor(sym, (DiffKind.delta,))
     (statement,) = parse_text("gen a index (1,0,0);")
+    session = load_session(SESSIONS / "invariant_class.gda")
+    tree = derive_tree(standard_start("(00)", SymbolRegistry()), depth=2)
     return [
         (Index(1, 0, 0), "n"),
         (sym, "name"),
@@ -111,6 +122,11 @@ def _immutable_cases():
         (corner_model(), "k"),
         (statement, "line"),
         (statement, "name"),
+        (VerificationReport("check", "ok", Term.zero(), []), "status"),
+        (session.closure_set(), "conditions"),
+        (session, "setup"),
+        (tree, "nodes"),
+        (tree.nodes[0], "note"),
     ]
 
 
@@ -138,17 +154,27 @@ def test_verifier_setup_supports_dataclass_replace():
     assert setup.d is DiffKind.delta and setup.laws == DiffLaws()
 
 
-def test_verifier_setup_is_the_only_dataclass():
-    # records are named tuples or slotted classes, which Python builds
-    # without generating code at import; see README "Start-up"
-    found = set()
+def _classes():
+    """(qualified name, class) of every class defined in a gda module."""
     for info in pkgutil.iter_modules(gda.__path__):
         module = importlib.import_module(f"gda.{info.name}")
         for name, obj in vars(module).items():
-            if (
-                inspect.isclass(obj)
-                and obj.__module__ == module.__name__
-                and dataclasses.is_dataclass(obj)
-            ):
-                found.add(f"{module.__name__}.{name}")
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_verifier_setup_is_the_only_dataclass():
+    # records are named tuples, which Python builds without generating
+    # code at import; see README "Start-up"
+    found = {name for name, cls in _classes() if dataclasses.is_dataclass(cls)}
     assert found == {"gda.verifier.VerifierSetup"}
+
+
+def test_slotted_classes_are_named_tuples_but_four():
+    # these compute or share fields when built; every other record is a
+    # named tuple, so no field is rebound once the record exists
+    found = {
+        name for name, cls in _classes()
+        if "__slots__" in vars(cls) and not issubclass(cls, tuple)
+    }
+    assert found == {"gda.terms.Factor", "gda.terms.Monomial", "gda.terms.Term", "gda.model.Model"}
