@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import report_digests
 from gda import (
     DiffKind,
     DiffLaws,
@@ -376,3 +377,13 @@ def test_closure_set_digests_are_frozen():
                 digest.update(f"{h.tag}\n{render_term(h.term)}\n".encode())
         digests[sign.value, eps.value] = digest.hexdigest()
     assert digests == CLOSURE_SET_DIGESTS
+
+
+def test_report_digests_are_unchanged():
+    # every traced step is pinned, not only the verdict; see
+    # tests/report_digests.py for how to regenerate the file
+    entries = report_digests.read()
+    now = [(label, report_digests.digest(report)) for label, report in report_digests.reports()]
+    assert [label for label, _ in entries] == [label for label, _ in now]
+    changed = [label for (label, sha), (_, fresh) in zip(entries, now) if sha != fresh]
+    assert not changed, "report differs from tests/golden/report_digests.txt:\n" + "\n".join(changed)
