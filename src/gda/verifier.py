@@ -15,6 +15,7 @@ monomials is present with one common coefficient ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Sequence
 
@@ -235,16 +236,17 @@ def build_closure_set(
 
 # --- cancellation machinery -------------------------------------------
 
-def _match_ratio(term: Term, items: list[tuple[Monomial, Coefficient]]) -> Coefficient | None:
+def _match_ratio(term: Term, hypothesis: Term) -> Coefficient | None:
     """The one ratio at which term holds every (monomial, coefficient)
-    of a nonzero hypothesis, or None."""
-    first_mono, first_coeff = items[0]
-    present = term.coefficient(first_mono)
-    if not present:
-        return None
-    ratio = exact_quotient(present, first_coeff)
-    for mono, coeff in items[1:]:
-        if term.coefficient(mono) != ratio * coeff:
+    of hypothesis, or None; always None for a zero hypothesis."""
+    ratio = None
+    for mono, coeff in hypothesis.summands():
+        present = term.coefficient(mono)
+        if ratio is None:
+            if not present:
+                return None
+            ratio = exact_quotient(present, coeff)
+        elif present != ratio * coeff:
             return None
     return ratio
 
@@ -252,19 +254,20 @@ def _match_ratio(term: Term, items: list[tuple[Monomial, Coefficient]]) -> Coeff
 def cancel_hypotheses(
     term: Term, hypotheses: list[ClosureHypothesis]
 ) -> tuple[Term, list[TraceStep]]:
+    """Subtract each hypothesis that term holds at one common ratio, trying
+    them once in list order.  One pass is exhaustive: a firing removes
+    exactly that hypothesis's monomials and leaves every other coefficient
+    as it was, so a hypothesis that did not match earlier in the pass
+    cannot match later, and one that fired cannot fire again."""
     steps: list[TraceStep] = []
-    # a zero hypothesis never fires; the ratio test reads summands in any order
-    prepared = [(h, list(h.term.summands())) for h in hypotheses if not h.term.is_zero]
-    changed = True
-    while changed and not term.is_zero:
-        changed = False
-        for h, items in prepared:
-            ratio = _match_ratio(term, items)
-            if ratio is not None:
-                before = term
-                term = term - h.term * ratio
-                steps.append(TraceStep(f"hypothesis:{h.tag}", before, term))
-                changed = True
+    for h in hypotheses:
+        if term.is_zero:
+            break
+        ratio = _match_ratio(term, h.term)
+        if ratio is not None:
+            before = term
+            term = term - h.term * ratio
+            steps.append(TraceStep(f"hypothesis:{h.tag}", before, term))
     return term, steps
 
 
@@ -324,6 +327,46 @@ def _nearest_hypothesis(residual: Term, closure_set: ClosureSet) -> str | None:
     return best_tag
 
 
+@lru_cache(maxsize=1)
+def _class_difference(
+    phi: Factor,
+    eta: Factor,
+    completions: tuple[Factor, ...],
+    setup: VerifierSetup,
+) -> tuple[Term, tuple[tuple, ...]]:
+    """The part of verify_independence that no closure set or ideal acts
+    on: class(phi+eta) - class(phi) and, for each of its monomials in term
+    order, (monomial, coefficient, content names, the candidate with one d
+    taken off its first content or None, d of the candidate, the law kills
+    of that expansion).
+
+    Memoized for the last class only, so the ablations of one class build
+    it once.  The arguments compare by value, closedness flags included,
+    so a hit is exact; an error is not cached and raises on every call.
+    """
+    content_positions = _LAYOUT[setup.epsilon_mode][1]
+    slot1 = content_positions[0] - 1
+    phi_t = Term.from_factor(phi)
+    eta_t = Term.from_factor(eta)
+    class_phi = build_class(phi_t, completions, setup)
+    diff = build_class(add(phi_t, eta_t), completions, setup) - class_phi
+    entries = []
+    for mono, coeff in diff:
+        names = tuple(mono.factors[p - 1].generator.name for p in content_positions)
+        stripped = _strip_inner(mono.factors[slot1], setup)
+        candidate = expanded = None
+        kills: list[tuple[int, Factor, str]] = []
+        if stripped is not None:
+            factors = list(mono.factors)
+            factors[slot1] = stripped
+            candidate = Monomial(tuple(factors), mono.overlaps)
+            expanded = apply_differential(
+                setup.d, Term.from_monomial(candidate), setup.sign, setup.laws, kills=kills
+            )
+        entries.append((mono, coeff, names, candidate, expanded, tuple(kills)))
+    return diff, tuple(entries)
+
+
 def verify_independence(
     phi: Factor,
     eta: Factor,
@@ -335,40 +378,25 @@ def verify_independence(
     """Check that replacing the picked element by its sum with another
     admissible element shifts the class by an exact differential, and
     produce that primitive."""
-    content_positions = _LAYOUT[setup.epsilon_mode][1]
-    if None in content_positions:
+    if None in _LAYOUT[setup.epsilon_mode][1]:
         raise LayoutError(
             "primitive reconstruction needs the paired layout (epsilon mode pair)"
         )
-    phi_t = Term.from_factor(phi)
-    eta_t = Term.from_factor(eta)
-    class_phi = build_class(phi_t, completions, setup)
-    class_sum = build_class(add(phi_t, eta_t), completions, setup)
-    diff = class_sum - class_phi
+    diff, entries = _class_difference(phi, eta, tuple(completions), setup)
 
     trace: list[TraceStep] = []
     primitive = Term.zero()
+    recomputed = Term.zero()
     failures: list[str] = []
-    for mono, coeff in diff:
-        names = tuple(
-            mono.factors[p - 1].generator.name for p in content_positions
-        )
+    for mono, coeff, names, candidate, expanded, kills in entries:
         hypothesis = closure_set.find(names, 0)
         if hypothesis is None:
             failures.append(f"no closure condition for assignment {names}")
             continue
-        slot1_pos = content_positions[0]
-        stripped = _strip_inner(mono.factors[slot1_pos - 1], setup)
-        if stripped is None:
+        if candidate is None:
             failures.append(f"cannot strip the first content slot of {mono}")
             continue
-        factors = list(mono.factors)
-        factors[slot1_pos - 1] = stripped
-        candidate = Monomial(tuple(factors), mono.overlaps)
-        kills: list[tuple[int, Factor, str]] = []
-        expanded = apply_differential(
-            setup.d, Term.from_monomial(candidate), setup.sign, setup.laws, kills=kills
-        )
+        # the ideals may have grown since the class was memoized
         reduced, del_steps = ideals.reduce_with_trace(expanded)
         for reason, m in del_steps:
             trace.append(TraceStep(reason, m, "0"))
@@ -381,11 +409,13 @@ def verify_independence(
                 f"re-expansion of the candidate for {mono} left {render_term(remaining)}"
             )
             continue
-        contribution = Term({candidate: exact_quotient(coeff, scale)})
+        ratio = exact_quotient(coeff, scale)
+        contribution = Term({candidate: ratio})
         primitive = primitive + contribution
+        # d is linear, so d(primitive) sums the candidates' expansions
+        recomputed = recomputed + expanded * ratio
         trace.append(TraceStep("primitive", mono, contribution))
 
-    recomputed = apply_differential(setup.d, primitive, setup.sign, setup.laws)
     recomputed, final_steps = reduce_modulo(recomputed, ideals, closure_set.conditions)
     trace += final_steps
     residual = diff - recomputed

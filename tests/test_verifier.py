@@ -1,4 +1,5 @@
 """Invariant-class construction, closure bookkeeping, both verifiers."""
+import functools
 import hashlib
 import itertools
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import report_digests
 from gda import (
@@ -13,6 +15,7 @@ from gda import (
     DiffLaws,
     EpsilonMode,
     Factor,
+    HeterogeneousSum,
     HypothesisError,
     IdealKind,
     IdealRegistry,
@@ -33,7 +36,8 @@ from gda import (
     verify_cocycle,
     verify_independence,
 )
-from gda.terms import stack_vanishes
+from gda.terms import exact_quotient, stack_vanishes
+from gda.verifier import _class_difference
 
 CLASS_FILE = Path(__file__).resolve().parent.parent / "sessions" / "invariant_class.gda"
 
@@ -45,16 +49,17 @@ COMPLETION_INDICES = [
 ]
 
 
-def standard_context(setup=None):
+def standard_context(setup=None, closed=None):
     """phi/eta plus the four completion factors, with both first
-    differentials registered non-locally."""
+    differentials registered non-locally; the completion at index
+    `closed`, if any, is declared dclosed."""
     setup = setup or VerifierSetup()
     reg = SymbolRegistry()
     phi = Factor(reg.declare("phi", Index(1, 1, 0)))
     eta = Factor(reg.declare("eta", Index(1, 1, 0)))
     comps = tuple(
-        Factor(reg.declare(name, idx, (), "completion"))
-        for name, idx in COMPLETION_INDICES
+        Factor(reg.declare(name, idx, ("dclosed",) if i == closed else (), "completion"))
+        for i, (name, idx) in enumerate(COMPLETION_INDICES)
     )
     ideals = IdealRegistry()
     for f in (phi, eta):
@@ -180,6 +185,67 @@ def test_cancel_hypotheses_does_not_depend_on_summand_order():
     # a partial sum is left as it is, a scaled one cancels
     assert cancel_hypotheses(sums[2], flipped) == (sums[2], [])
     assert cancel_hypotheses(sums[3], flipped)[0] == stray
+
+
+def fixed_point_cancel(term, hypotheses):
+    """Hypothesis cancellation as a fixed point: every hypothesis is tried
+    again on each pass until a pass fires none.  The reference that the
+    one-pass cancel_hypotheses must agree with."""
+    steps = []
+    prepared = [(h, list(h.term.summands())) for h in hypotheses if not h.term.is_zero]
+    changed = True
+    while changed and not term.is_zero:
+        changed = False
+        for h, items in prepared:
+            present = term.coefficient(items[0][0])
+            if not present:
+                continue
+            ratio = exact_quotient(present, items[0][1])
+            if all(term.coefficient(m) == ratio * c for m, c in items[1:]):
+                before = term
+                term = term - h.term * ratio
+                steps.append((f"hypothesis:{h.tag}", before, term))
+                changed = True
+    return term, steps
+
+
+@functools.cache
+def digest_closure_sets():
+    """The closure sets of _digest_contexts in paper/pair mode, some with
+    closed generators and so with zero hypotheses."""
+    return list(_digest_contexts(VerifierSetup()))
+
+
+ratios = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 53), ratios), max_size=6),
+    st.lists(st.tuples(st.integers(0, 53), st.integers(0, 99), ratios), max_size=3),
+    st.permutations(range(54)),
+    st.integers(1, 54),
+)
+def test_one_pass_cancel_matches_the_fixed_point(which, picked, strays, order, kept):
+    # multiples of a random subset of hypotheses plus stray monomials taken
+    # from hypotheses, against a shuffled (and possibly cut) hypothesis list
+    hypotheses = digest_closure_sets()[which].conditions
+    term = Term.zero()
+    for i, ratio in picked:
+        term = term + hypotheses[i].term * ratio
+    for i, j, ratio in strays:
+        items = hypotheses[i].term.items()
+        if items:
+            term = term + Term.from_monomial(items[j % len(items)][0], ratio)
+    tried = [hypotheses[i] for i in order[:kept]]
+    out, steps = cancel_hypotheses(term, tried)
+    ref_out, ref_steps = fixed_point_cancel(term, tried)
+    assert out == ref_out
+    assert [tuple(s) for s in steps] == ref_steps
 
 
 def normal_coefficients(term: Term) -> bool:
@@ -387,3 +453,66 @@ def test_report_digests_are_unchanged():
     assert [label for label, _ in entries] == [label for label, _ in now]
     changed = [label for (label, sha), (_, fresh) in zip(entries, now) if sha != fresh]
     assert not changed, "report differs from tests/golden/report_digests.txt:\n" + "\n".join(changed)
+
+
+def _cold(phi, eta, comps, closure_set, ideals, setup):
+    _class_difference.cache_clear()
+    return verify_independence(phi, eta, comps, closure_set, ideals, setup)
+
+
+def test_class_memo_tells_closedness_flags_apart():
+    # the two contexts differ only in Phi2's dclosed flag, which hashes
+    # like the unflagged one; called alternately, each keeps its own kills
+    contexts = [standard_context()[1:], standard_context(closed=1)[1:]]
+    cold = []
+    for phi, eta, comps, ideals, setup in contexts:
+        closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+        cold.append(_cold(phi, eta, comps, closure_set, ideals, setup))
+    laws = [[s.rule for s in r.trace if s.rule.startswith("law:")] for r in cold]
+    assert "law:closed" in laws[1] and "law:closed" not in laws[0]
+    assert cold[0].primitive != cold[1].primitive
+    for _ in range(2):
+        for (phi, eta, comps, ideals, setup), expected in zip(contexts, cold):
+            closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+            report = verify_independence(phi, eta, comps, closure_set, ideals, setup)
+            assert report.to_json() == expected.to_json()
+            assert report.primitive == expected.primitive
+            # the primitive's completions carry this context's flags
+            used = {f.generator for m in report.primitive.monomials() for f in m.factors}
+            assert set(c.generator for c in comps) <= used
+    assert _class_difference.cache_info().maxsize == 1
+
+
+def test_class_memo_reduces_by_the_ideals_of_each_call():
+    reg, phi, eta, comps, ideals, setup = standard_context()
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    before = verify_independence(phi, eta, comps, closure_set, ideals, setup)
+    ideals.register(IdealKind.nonlocal2, Factor(comps[0].generator, (setup.d,)), setup.laws)
+    hits = _class_difference.cache_info().hits
+    after = verify_independence(phi, eta, comps, closure_set, ideals, setup)
+    assert _class_difference.cache_info().hits == hits + 1
+
+    def deletions(report):
+        return [(s.rule, s.before) for s in report.trace if s.rule.startswith("ideal:")]
+
+    assert deletions(after) != deletions(before)
+    assert before.ok and not after.ok
+    assert after.to_json() == _cold(phi, eta, comps, closure_set, ideals, setup).to_json()
+
+
+def test_completions_list_gives_the_tuple_report():
+    reg, phi, eta, comps, ideals, setup = standard_context()
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    from_tuple = verify_independence(phi, eta, comps, closure_set, ideals, setup)
+    from_list = verify_independence(phi, eta, list(comps), closure_set, ideals, setup)
+    assert from_list.to_json() == from_tuple.to_json()
+    assert from_list.primitive == from_tuple.primitive
+
+
+def test_class_memo_does_not_keep_errors():
+    reg, phi, eta, comps, ideals, setup = standard_context()
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    other = Factor(reg.declare("zeta", Index(0, 1, 0)))
+    for _ in range(2):
+        with pytest.raises(HeterogeneousSum):
+            verify_independence(phi, other, comps, closure_set, ideals, setup)
