@@ -430,6 +430,18 @@ def test_ideal_pattern_the_laws_kill_exits_2(lines, error, tmp_path, capsys):
     assert captured.err == f"{session}:2:1: error: {error}\n"
 
 
+def test_negative_overlap_in_a_condition_exits_2_at_the_statement(tmp_path, capsys):
+    session = tmp_path / "overlap.gda"
+    session.write_text(
+        "gen g index (0,0,0);\ngen phi index (1,-1,0);\n"
+        "condition (0) d(g) = (phi[r=-1,t=2]);\n"
+    )
+    assert main(["check", str(session)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{session}:3:1: error: negative overlap (-1,2)\n"
+
+
 def test_ideal_pattern_alive_without_commuting_is_accepted(tmp_path, capsys):
     session = tmp_path / "alive.gda"
     session.write_text("set commute off;\ngen a index (1,0,0);\nideal square2 d(D(d(a)));\n")

@@ -125,6 +125,13 @@ def test_closed_flag_tracks_the_right_kind(reg):
     assert not c.closed_under(DiffKind.Delta)
 
 
+def test_monomial_index_rejects_a_negative_overlap(reg):
+    a = Factor(reg.declare("a", Index(1, 0, 0)))
+    b = Factor(reg.declare("b", Index(0, 1, 0)))
+    with pytest.raises(CoherenceViolation, match=r"^negative overlap \(-1,0\)$"):
+        Monomial((a, b), ((0, 0), (-1, 0))).index()
+
+
 def test_monomial_index_subtracts_overlaps(reg):
     a = reg.declare("a", Index(1, 0, 0))
     b = reg.declare("b", Index(0, 1, 0))

@@ -20,6 +20,7 @@ from gda import (
     IdealKind,
     IdealRegistry,
     Index,
+    LayoutError,
     Monomial,
     SignMode,
     SymbolRegistry,
@@ -93,6 +94,23 @@ def test_build_class_drop_mode_has_six_slots():
     (mono, _), = term.items()
     assert mono.arity == 6
     assert render_term(term) == "(Phi1, Phi2, phi.d, Phi3, phi, Phi4)"
+
+
+@pytest.mark.parametrize("mode", list(EpsilonMode))
+def test_build_class_needs_four_completions(mode):
+    setup = VerifierSetup(epsilon_mode=mode)
+    reg, phi, eta, comps, ideals, setup = standard_context(setup)
+    with pytest.raises(LayoutError, match=r"^class layout needs 4 completion factors, got 3$"):
+        build_class(phi, comps[:3], setup)
+
+
+@pytest.mark.parametrize("mode", list(EpsilonMode))
+def test_build_class_rejects_a_content_that_is_not_a_single_factor(mode):
+    setup = VerifierSetup(epsilon_mode=mode)
+    reg, phi, eta, comps, ideals, setup = standard_context(setup)
+    picked = Term.from_factor(phi) + Term.from_monomial(Monomial((phi, eta)))
+    with pytest.raises(LayoutError, match=r"^content slot that is not a single factor$"):
+        build_class(picked, comps, setup)
 
 
 def test_slot_diff_sum_hits_only_named_slots():
