@@ -89,7 +89,6 @@ from .verifier import (
     build_class,
     build_closure_set,
     cancel_hypotheses,
-    class_layout,
     reduce_modulo,
     verify_cocycle,
     verify_independence,

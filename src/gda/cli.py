@@ -115,11 +115,7 @@ def _cmd_model_check(args) -> int:
     if d not in model.tables:
         raise ModelError(f"the {model.field} model has no table for {d.token}")
     rng = random.Random(args.seed)
-    gens = [
-        session.registry.get(name)
-        for name in session.registry.names()
-        if not session.registry.get(name).fresh
-    ]
+    gens = [session.registry.get(name) for name in session.registry.names()]
     notes: list[str] = []
     status = "ok"
     if not gens:

@@ -128,7 +128,6 @@ class TreeNode(NamedTuple):
     condition: Condition
     note: str | None
     parent: int | None
-    children: list[int]
 
 
 class PeriodicFamily(NamedTuple):
@@ -247,10 +246,8 @@ def derive_tree(
     seen: dict[tuple, int] = {}
 
     def add_node(cond: Condition, edge: str, parent: int | None, dp: int, note: str | None) -> TreeNode:
-        node = TreeNode(len(tree.nodes), dp, edge, cond, note, parent, [])
+        node = TreeNode(len(tree.nodes), dp, edge, cond, note, parent)
         tree.nodes.append(node)
-        if parent is not None:
-            tree.nodes[parent].children.append(node.id)
         return node
 
     def is_ancestor(candidate: int, node_id: int) -> bool:

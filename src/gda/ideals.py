@@ -97,7 +97,6 @@ class FactorizationResult(NamedTuple):
 def factorization_moves(
     monomial: Monomial,
     registry: SymbolRegistry,
-    positions: list[int] | None = None,
 ) -> list[FactorizationResult]:
     """All resolution variants for a single vanishing monomial.
 
@@ -111,8 +110,7 @@ def factorization_moves(
     if len(factors) < 2:
         raise ArityError("factorization needs at least two factors")
     out: list[FactorizationResult] = []
-    wanted = positions if positions is not None else range(1, len(factors) + 1)
-    for pos in wanted:
+    for pos in range(1, len(factors) + 1):
         resolved = factors[pos - 1]
         left = factors[pos - 2] if pos >= 2 else None
         right = factors[pos] if pos <= len(factors) - 1 else None

@@ -20,16 +20,11 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import AssignmentError, ModelError
-from .terms import DiffKind, Monomial, Term, _frozen, _set
+from .terms import Coefficient, DiffKind, Monomial, Term, _frozen, _integral, _set
 
-Coefficient = int | Fraction
 Element = dict[int, Coefficient]
 
 MAX_GENERATORS = 6
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def _crossing_parities(k: int) -> list[bytes]:
@@ -42,7 +37,7 @@ def _crossing_parities(k: int) -> list[bytes]:
     for left in range(1 << k):
         row = b"\x00"
         for j in range(k):
-            row += row.translate(flip) if _popcount(left >> (j + 1)) % 2 else row
+            row += row.translate(flip) if (left >> (j + 1)).bit_count() % 2 else row
         rows.append(row)
     return rows
 
@@ -55,16 +50,15 @@ _MASKS = frozenset(range(1 << MAX_GENERATORS))
 def _coeff(field_name: str, value: Coefficient) -> Coefficient:
     """The exact value in the field: an int when integral, else a Fraction."""
     if type(value) is not int:
-        if value.denominator == 1:
-            value = value.numerator
-        elif field_name != "gf2":
-            return value
-        elif value.denominator % 2 == 0:
-            raise ModelError(
-                "coefficient with even denominator has no value in the"
-                " two-element field"
-            )
-        else:
+        value = _integral(value)
+        if type(value) is not int:
+            if field_name != "gf2":
+                return value
+            if value.denominator % 2 == 0:
+                raise ModelError(
+                    "coefficient with even denominator has no value in the"
+                    " two-element field"
+                )
             value = value.numerator
     return value & 1 if field_name == "gf2" else value
 
@@ -131,14 +125,14 @@ class Model:
         _set(self, "k", k)
         _set(self, "field", field)
         _set(self, "tables", tables)
-        basis = self.basis
+        basis = list(range(1 << k))
         _set(self, "images", {
             kind: {mask: _basis_image(field, table, mask) for mask in basis}
             for kind, table in tables.items()
         })
         masks: dict[int | None, list[int]] = {None: basis, 0: [], 1: []}
         for mask in basis:
-            masks[_popcount(mask) % 2].append(mask)
+            masks[mask.bit_count() % 2].append(mask)
         _set(self, "masks", masks)
         _set(self, "basis_set", frozenset(basis))
         _set(self, "kernels", {})
@@ -147,12 +141,9 @@ class Model:
         # copies and unpickling rebuild from the tables
         return Model, (self.k, self.field, self.tables)
 
-    @property
-    def basis(self) -> list[int]:
-        return list(range(1 << self.k))
 
-
-def _derive(model: Model, kind: DiffKind, element: Element) -> Element:
+def derive_element(model: Model, kind: DiffKind, element: Element) -> Element:
+    """The derivation extension of one table, applied to an element."""
     images = model.images.get(kind)
     if images is None:
         raise ModelError(f"model has no table for {kind.token}")
@@ -164,11 +155,6 @@ def _derive(model: Model, kind: DiffKind, element: Element) -> Element:
     except KeyError:
         raise ModelError(f"element mask {mask} outside the algebra") from None
     return _reduced(model.field, acc)
-
-
-def derive_element(model: Model, kind: DiffKind, element: Element) -> Element:
-    """Public face of the derivation extension."""
-    return _derive(model, kind, element)
 
 
 def build_model(
@@ -191,12 +177,12 @@ def build_model(
         raise ModelError("a model needs at least one differential table")
     for kind, table in tables.items():
         for bit, image in table.items():
-            if _popcount(bit) != 1 or bit >= (1 << k):
+            if bit.bit_count() != 1 or bit >= (1 << k):
                 raise ModelError(f"table key {bit} is not a generator bitmask")
             for mask in image:
                 if mask >= (1 << k):
                     raise ModelError(f"image mask {mask} outside the algebra")
-                if field_name == "q" and _popcount(mask) % 2:
+                if field_name == "q" and mask.bit_count() % 2:
                     raise ModelError(
                         f"{kind.token}(generator {bit.bit_length()}) has an"
                         " odd-degree component; rational tables must raise"
@@ -205,13 +191,13 @@ def build_model(
     model = Model(k, field_name, {k_: dict(t) for k_, t in tables.items()})
     for kind, table in model.tables.items():
         for bit in table:
-            if _derive(model, kind, model.images[kind][bit]):
+            if derive_element(model, kind, model.images[kind][bit]):
                 raise ModelError(f"{kind.token} does not square to zero on generator {bit.bit_length()}")
     if len(model.tables) == 2:
         a, b = sorted(model.tables, key=lambda kk: kk.value)
         for bit in range(k):
-            ab = _derive(model, a, model.images[b][1 << bit])
-            ba = _derive(model, b, model.images[a][1 << bit])
+            ab = derive_element(model, a, model.images[b][1 << bit])
+            ba = derive_element(model, b, model.images[a][1 << bit])
             if ab != ba:
                 raise ModelError("the two tables do not commute")
     return model
@@ -265,7 +251,7 @@ def _evaluate(
                         bad = next(m for m in v if m not in basis)
                         raise ModelError(f"element mask {bad} outside the algebra")
                     for kind in factor.diffs:
-                        v = _derive(model, kind, v)
+                        v = derive_element(model, kind, v)
                     values[key] = v
                 if product is one:
                     # wedge({0: 1}, v) without its products: v in the field
@@ -324,7 +310,7 @@ def _kernel(model: Model, kind: DiffKind, parity: int | None) -> list[Element]:
 
 def _solve_kernel(model: Model, kind: DiffKind, parity: int | None) -> list[Element]:
     cols = model.masks[parity]
-    images = [_derive(model, kind, {m: 1}) for m in cols]
+    images = [derive_element(model, kind, {m: 1}) for m in cols]
     rows = sorted({mask for img in images for mask in img})
     matrix = [[img.get(r, 0) for img in images] for r in rows]
     n_rows, n_cols = len(matrix), len(cols)

@@ -234,25 +234,6 @@ class Factor:
         return self.generator.name + "".join("." + k.token for k in self.diffs)
 
 
-def coherent_index(
-    entries: Sequence[tuple[Index, int, int]], literal_m: bool = False
-) -> Index:
-    """Resulting index of a product given (index, r, t) per factor.
-
-    n and kappa add; the overlap count r is subtracted from n and t from
-    m.  literal_m switches the m component to sum n_j - t_j instead of
-    m_j - t_j (an alternative reading kept behind this flag).
-    """
-    n = m = kappa = 0
-    for idx, r, t in entries:
-        if r < 0 or t < 0:
-            raise CoherenceViolation(f"negative overlap ({r},{t})")
-        n += idx.n - r
-        m += (idx.n if literal_m else idx.m) - t
-        kappa += idx.kappa
-    return Index(n, m, kappa)
-
-
 class Monomial:
     """An ordered product of factors with per-factor overlap counts.
 
@@ -300,10 +281,19 @@ class Monomial:
         return len(self.factors)
 
     def index(self, literal_m: bool = False) -> Index:
-        return coherent_index(
-            [(f.effective_index, r, t) for f, (r, t) in zip(self.factors, self.overlaps)],
-            literal_m=literal_m,
-        )
+        """Resulting index of the product: n and kappa add; each factor's
+        overlap count r is subtracted from n and t from m.  literal_m
+        switches the m component to sum n_j - t_j instead of m_j - t_j
+        (an alternative reading kept behind this flag)."""
+        n = m = kappa = 0
+        for f, (r, t) in zip(self.factors, self.overlaps):
+            if r < 0 or t < 0:
+                raise CoherenceViolation(f"negative overlap ({r},{t})")
+            idx = f.effective_index
+            n += idx.n - r
+            m += (idx.n if literal_m else idx.m) - t
+            kappa += idx.kappa
+        return Index(n, m, kappa)
 
     def signature(self) -> str:
         """Choice-vector shaped string: I where a factor is differentiated."""

@@ -99,33 +99,6 @@ _LAYOUT = {
 }
 
 
-def class_layout(
-    setup: VerifierSetup,
-    completions: tuple[Factor, ...],
-    c1: Term,
-    c2: Term,
-    c3: Term,
-) -> tuple[Term, tuple[int, ...]]:
-    """Interleave the four completion factors with the content slots.
-
-    Mirrors the auxiliary pairing at term level: in pair mode the first
-    completion is followed by the first content (a zero content absorbs
-    the product); in drop mode the first content is omitted and the two
-    leading completions sit side by side.  Each content is a sum of
-    single factors.  Returns the layout and the completion positions.
-    """
-    if len(completions) != 4:
-        raise LayoutError(f"class layout needs 4 completion factors, got {len(completions)}")
-    completion_at, content_at = _LAYOUT[setup.epsilon_mode]
-    parts = dict(zip(completion_at, map(Term.from_factor, completions)))
-    for pos, content in zip(content_at, (c1, c2, c3)):
-        if pos is not None:
-            if any(m.arity != 1 for m in content.monomials()):
-                raise LayoutError("content slot that is not a single factor")
-            parts[pos] = content
-    return multiply([parts[pos] for pos in sorted(parts)]), completion_at
-
-
 def _layout(
     setup: VerifierSetup,
     completions: tuple[Factor, ...],
@@ -134,16 +107,28 @@ def _layout(
     xi3: Term,
     level: int,
 ) -> tuple[Term, tuple[int, ...]]:
-    """class_layout of the contents made from three picked elements:
-    xi1 differentiated by d `level` times and then by dbar, xi2 by d,
-    and xi3 as it is.  A content the layout leaves out is not built."""
-    c1 = Term.zero()
-    if _LAYOUT[setup.epsilon_mode][1][0] is not None:
+    """Interleave the four completion factors with the contents made from
+    three picked elements: xi1 differentiated by d `level` times and then
+    by dbar, xi2 by d, and xi3 as it is.
+
+    Mirrors the auxiliary pairing at term level: in pair mode the first
+    completion is followed by the first content (a zero content absorbs
+    the product); in drop mode the first content is omitted, and not
+    built, and the two leading completions sit side by side.  Returns
+    the layout and the completion positions.
+    """
+    if len(completions) != 4:
+        raise LayoutError(f"class layout needs 4 completion factors, got {len(completions)}")
+    completion_at, (at1, at2, at3) = _LAYOUT[setup.epsilon_mode]
+    parts = dict(zip(completion_at, map(Term.from_factor, completions)))
+    if at1 is not None:
         c1 = xi1
         for kind in (setup.d,) * level + (setup.dbar,):
             c1 = apply_differential(kind, c1, setup.sign, setup.laws)
-    c2 = apply_differential(setup.d, xi2, setup.sign, setup.laws)
-    return class_layout(setup, completions, c1, c2, xi3)
+        parts[at1] = c1
+    parts[at2] = apply_differential(setup.d, xi2, setup.sign, setup.laws)
+    parts[at3] = xi3
+    return multiply([parts[pos] for pos in sorted(parts)]), completion_at
 
 
 def build_class(
@@ -152,8 +137,11 @@ def build_class(
     setup: VerifierSetup,
 ) -> Term:
     """The candidate invariant for one picked element (or a sum of
-    picked elements, expanded multilinearly)."""
+    picked elements, expanded multilinearly); each content is a sum of
+    single factors."""
     phi_t = Term.from_factor(phi) if isinstance(phi, Factor) else phi
+    if any(m.arity != 1 for m, _ in phi_t.summands()):
+        raise LayoutError("content slot that is not a single factor")
     return _layout(setup, completions, phi_t, phi_t, phi_t, 1)[0]
 
 

@@ -154,8 +154,9 @@ def test_seen_nodes_keep_their_equation_but_no_children():
     tree = derive_tree(standard_start("(00)", reg), depth=8, registry=reg)
     seen = [node for node in tree.nodes if node.note == "seen"]
     assert seen
+    parents = {node.parent for node in tree.nodes}
     for node in seen:
-        assert not node.children
+        assert node.id not in parents
         assert node.condition.equation != ""
 
 

@@ -18,7 +18,7 @@ from gda import (
     add,
     apply_differential,
     apply_slot_differential,
-    class_layout,
+    build_class,
     classify_push,
     normalize,
     render_term,
@@ -172,15 +172,22 @@ def test_slot_differential_over_every_slot_is_the_full_differential(reg, sign):
 
 def test_epsilon_pair_and_drop(reg):
     comps = tuple(Factor(reg.declare(f"P{i}", Index(0, 0, 0))) for i in range(1, 5))
-    x = Term.from_factor(Factor(reg.declare("x", Index(0, 1, 0))))
-    pair = VerifierSetup(epsilon_mode=EpsilonMode.pair)
-    paired, slots = class_layout(pair, comps, x, x, x)
-    assert render_term(paired) == "(P1, x, P2, x, P3, x, P4)" and slots == (1, 3, 5, 7)
-    # in pair mode a zero first content absorbs the whole product
-    assert class_layout(pair, comps, Term.zero(), x, x)[0].is_zero
-    drop = VerifierSetup(epsilon_mode=EpsilonMode.drop)
-    dropped, slots = class_layout(drop, comps, x, x, x)
-    assert render_term(dropped) == "(P1, P2, x, P3, x, P4)" and slots == (1, 2, 4, 6)
+    x = Factor(reg.declare("x", Index(0, 1, 0)))
+    laws = DiffLaws(Delta_chain_cochain=True)
+    pair = VerifierSetup(epsilon_mode=EpsilonMode.pair, laws=laws)
+    drop = VerifierSetup(epsilon_mode=EpsilonMode.drop, laws=laws)
+    paired = build_class(x, comps, pair)
+    assert render_term(paired) == "(P1, x.d.D, P2, x.d, P3, x, P4)"
+    dropped = build_class(x, comps, drop)
+    assert render_term(dropped) == "(P1, P2, x.d, P3, x, P4)"
+    for term, slots in ((paired, (1, 3, 5, 7)), (dropped, (1, 2, 4, 6))):
+        factors = term.monomials()[0].factors
+        assert [str(factors[pos - 1]) for pos in slots] == ["P1", "P2", "P3", "P4"]
+    # in pair mode a zero first content absorbs the whole product: the
+    # first content of x.D is x.d.D.D, which a chain-cochain D kills
+    xD = Factor(x.generator, (DD,))
+    assert build_class(xD, comps, pair).is_zero
+    assert render_term(build_class(xD, comps, drop)) == "(P1, P2, x.d.D, P3, x.D, P4)"
 
 
 def test_sum_linearity(reg):

@@ -138,7 +138,7 @@ def test_moves_at_the_edges(reg):
 
 def test_interior_position_offers_three_variants(reg):
     m = Monomial((fac(reg, "a", D), fac(reg, "b"), fac(reg, "c")))
-    moves = factorization_moves(m, reg, positions=[2])
+    moves = [mv for mv in factorization_moves(m, reg) if mv.position == 2]
     assert [mv.variant for mv in moves] == ["left", "right", "two-sided"]
     for mv in moves:
         assert mv.position == 2
@@ -148,8 +148,8 @@ def test_interior_position_offers_three_variants(reg):
 def test_two_sided_fresh_subtracts_both_neighbours(reg):
     m = Monomial((fac(reg, "a"), fac(reg, "b"), fac(reg, "c")))
     two_sided = [
-        mv for mv in factorization_moves(m, reg, positions=[2])
-        if mv.variant == "two-sided"
+        mv for mv in factorization_moves(m, reg)
+        if mv.position == 2 and mv.variant == "two-sided"
     ][0]
     expect = Index(0, 1, 0) - Index(1, 0, 0) - Index(0, 0, 1)
     assert two_sided.fresh.index == expect
