@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace as dc_replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -22,6 +23,7 @@ from .terms import (
     DiffKind,
     DiffLaws,
     Factor,
+    GeneratorSymbol,
     Index,
     IndexBounds,
     Monomial,
@@ -72,14 +74,34 @@ def _integer(text: str) -> int:
 
 # --- statements -------------------------------------------------------
 
+def _located(cls):
+    """A record that ends with the line and column (1-based, 0 when built
+    in code) of where it stands in a file, and maybe more of the same
+    kind after them.  It compares and hashes by what it says, not where:
+    the fields from `line` on are left out."""
+    cut = cls._fields.index("line")
+
+    def same(self, other) -> bool:
+        return type(other) is type(self) and self[:cut] == other[:cut]
+
+    cls.__eq__ = same
+    cls.__ne__ = lambda self, other: not same(self, other)
+    cls.__hash__ = lambda self: hash(self[:cut])
+    return cls
+
+
+@_located
 class FactorExpr(NamedTuple):
     """Surface form of one factor: a generator name, differential
-    wrappers innermost first, and an optional overlap suffix."""
+    wrappers innermost first, an optional overlap suffix, and where the
+    name stands."""
 
     name: str
     wraps: tuple[str, ...] = ()
     r: int = 0
     t: int = 0
+    line: int = 0
+    column: int = 0
 
     def render(self) -> str:
         out = self.name
@@ -88,20 +110,6 @@ class FactorExpr(NamedTuple):
         if self.r or self.t:
             out += f"[r={self.r},t={self.t}]"
         return out
-
-
-def _same_statement(self, other) -> bool:
-    return type(other) is type(self) and self[:-2] == other[:-2]
-
-
-def _located(cls):
-    """Each statement ends with the line and column (1-based, 0 when
-    built in code) of its head token.  It compares and hashes by what it
-    says, not where: those two fields are left out."""
-    cls.__eq__ = _same_statement
-    cls.__ne__ = lambda self, other: not _same_statement(self, other)
-    cls.__hash__ = lambda self: hash(self[:-2])
-    return cls
 
 
 @_located
@@ -169,7 +177,8 @@ DEFINITIONS = {
 @_located
 class Definition(NamedTuple):
     """``STATEMENT NAME := WORD(HEADS; COMPLETIONS);`` for each
-    statement in DEFINITIONS."""
+    statement in DEFINITIONS; `at` holds the line and column of each head
+    and then each completion, or nothing when built in code."""
 
     statement: str
     name: str
@@ -177,6 +186,7 @@ class Definition(NamedTuple):
     completions: tuple[str, ...]
     line: int = 0
     column: int = 0
+    at: tuple[tuple[int, int], ...] = ()
 
     def render(self) -> str:
         return (
@@ -319,7 +329,7 @@ class _Parser:
             tok = self.expect(kind="name")
         for _ in wraps:
             self.expect(")")
-        return FactorExpr(tok.text, tuple(reversed(wraps)))
+        return FactorExpr(tok.text, tuple(reversed(wraps)), line=tok.line, column=tok.column)
 
     def fexpr_with_overlap(self) -> FactorExpr:
         fe = self.fexpr()
@@ -333,7 +343,7 @@ class _Parser:
             self.expect("=")
             t = self.signed_int()
             self.expect("]")
-            fe = FactorExpr(fe.name, fe.wraps, r, t)
+            fe = fe._replace(r=r, t=t)
         return fe
 
     # statements
@@ -355,12 +365,18 @@ class _Parser:
         self.expect(":=")
         self.expect(word)
         self.expect("(")
-        head_names = self.items(self.name, heads)
+        token = partial(self.expect, kind="name")
+        head_tokens = self.items(token, heads)
         self.expect(";")
-        completions = self.items(self.name)
+        completion_tokens = self.items(token)
         self.expect(")")
         self.expect(";")
-        return Definition(statement, name, head_names, completions)
+        return Definition(
+            statement, name,
+            tuple(tok.text for tok in head_tokens),
+            tuple(tok.text for tok in completion_tokens),
+            at=tuple((tok.line, tok.column) for tok in head_tokens + completion_tokens),
+        )
 
     def stmt_set(self) -> SetStatement:
         key = self.hyphen_name()
@@ -513,8 +529,15 @@ def build_session(
     def wrap_kind(letter: str) -> DiffKind:
         return setup.d if letter == "d" else setup.d.other
 
+    def generator(name: str, line: int, column: int) -> GeneratorSymbol:
+        # an unknown name is reported where it stands, not at its statement
+        try:
+            return registry.get(name)
+        except NameClash as err:
+            raise GdaSyntaxError(str(err), line, column, filename) from err
+
     def resolve(fe: FactorExpr) -> Factor:
-        sym = registry.get(fe.name)
+        sym = generator(fe.name, fe.line, fe.column)
         return Factor(sym, tuple(wrap_kind(w) for w in fe.wraps))
 
     def fail(message: str) -> GdaSyntaxError:
@@ -592,8 +615,9 @@ def build_session(
                 defined = definitions[st.statement]
                 if st.name in defined:
                     raise fail(f"{noun} {st.name!r} already defined")
-                for n in (*st.heads, *st.completions):
-                    registry.get(n)
+                names = (*st.heads, *st.completions)
+                for n, (line, column) in zip(names, st.at or [(st.line, st.column)] * len(names)):
+                    generator(n, line, column)
                 if heads and len(st.heads) != heads:
                     raise fail(f"{word} needs exactly {heads} head(s), got {len(st.heads)}")
                 need = 4 if heads else len(st.heads) + 1

@@ -1,7 +1,11 @@
 """Command-line surface: exit codes, report formats, derive output."""
 import argparse
+import ast
+import contextlib
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,9 +13,10 @@ import jsonschema
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cli_corpus
-from gda import GdaSyntaxError, build_session
+from gda import GdaSyntaxError, build_session, parse_text, print_session
 from gda.cli import _build_parser, main
 from gda.dsl import SETTINGS
 
@@ -466,3 +471,103 @@ def test_schema_lists_only_the_claims_the_cli_emits(capsys):
         main([command, CLASS_FILE, *extra, "--report", "json"])
         claims.add(json.loads(capsys.readouterr().out)["claim"])
     assert claims == set(schema["properties"]["claim"]["enum"])
+
+
+@pytest.mark.parametrize("name, where, generator", [
+    ("unknown_name.gda", "5:47", "Phi4"),
+    ("deep_nesting.gda", "2:4017", "b"),
+])
+def test_malformed_files_report_the_unknown_generator_at_the_name(name, where, generator, capsys):
+    path = GOLDEN / "malformed" / name
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}:{where}: error: unknown generator '{generator}'\n"
+
+
+@pytest.mark.parametrize("statement", [
+    "ideal nonlocal2 d(D(zz));",
+    "condition (0) d(zz) = (a);",
+    "condition (0I) 0 = (a, d(zz)[r=1,t=1]);",
+    "completion C := complete(zz; a, a);",
+    "hypotheses H := closure(a, zz; a, a, a, a);",
+    "class C := invariant(a; a, a, zz, a);",
+])
+def test_unknown_generator_is_reported_at_the_name(statement, tmp_path, capsys):
+    session = tmp_path / "unknown.gda"
+    session.write_text(f"gen a index (1,0,0);\n{statement}\n")
+    assert main(["check", str(session)]) == 2
+    column = statement.index("zz") + 1
+    assert capsys.readouterr().err == f"{session}:2:{column}: error: unknown generator 'zz'\n"
+
+
+# a session file split into its tokens (odd places) and what stands
+# between them (even places)
+_TOKEN_SPLIT = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|\d+|:=|[^\sA-Za-z0-9_])")
+_SHIPPED = {name: (SESSIONS / name).read_text() for name in SESSION_NAMES}
+# every token of the shipped sessions, plus an unknown name, a character
+# no token takes, a comment start and a number too large for an index
+_VOCABULARY = sorted(
+    {tok for text in _SHIPPED.values() for tok in _TOKEN_SPLIT.split(text)[1::2]}
+    | {"zz", "@", "#", "123456789012345678901234567890"}
+)
+_FUZZ_COMMANDS = [
+    ["check"],
+    ["print"],
+    ["verify-class", "--class", "INV"],
+    ["verify-independence", "--class", "INV", "--eta", "eta"],
+    ["model-check", "--trials", "5"],
+]
+
+
+def _kind(token):
+    return token[:1].isdigit(), token[:1].isalpha() or token[:1] == "_"
+
+
+def _mutate(text, rnd):
+    """One or two token edits at random places: an insertion, a deletion,
+    or, as often as both, a replacement by a token of the same kind, so
+    that many edited files parse and reach the session builder."""
+    pieces = _TOKEN_SPLIT.split(text)
+    for _ in range(rnd.randint(1, 2)):
+        place = 2 * rnd.randrange(len(pieces) // 2) + 1
+        action = rnd.choice(["insert", "delete", "replace", "replace"])
+        if action == "delete":
+            pieces[place] = ""
+        elif action == "insert":
+            pieces[place] = f"{rnd.choice(_VOCABULARY)} {pieces[place]}"
+        else:
+            pieces[place] = rnd.choice([tok for tok in _VOCABULARY if _kind(tok) == _kind(pieces[place])])
+    return "".join(pieces)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "session.gda"
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(SESSION_NAMES), rnd=st.randoms(use_true_random=False))
+def test_mutated_sessions_exit_cleanly_with_one_located_error(fuzz_file, name, rnd):
+    text = _mutate(_SHIPPED[name], rnd)
+    fuzz_file.write_text(text)
+    lines = text.split("\n")
+    for command in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(fuzz_file), *command[1:]])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), command
+        if code != 2:
+            assert err == "", command
+            if command[0] == "print":
+                assert print_session(parse_text(out)) == out
+            continue
+        # one line: located in the file, or about the command line
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        located = re.fullmatch(rf"{re.escape(str(fuzz_file))}:(\d+):(\d+): error: (.*)\n", err)
+        if located is None:
+            assert err.startswith("error: "), err
+            continue
+        unknown = re.fullmatch(r"unknown generator ('.*'|\".*\")", located[3])
+        if unknown:
+            line, column = int(located[1]), int(located[2])
+            assert lines[line - 1][column - 1:].startswith(ast.literal_eval(unknown[1])), err
