@@ -75,17 +75,13 @@ def _integer(text: str) -> int:
 # --- statements -------------------------------------------------------
 
 def _located(cls):
-    """A record that ends with the line and column (1-based, 0 when built
-    in code) of where it stands in a file, and maybe more of the same
-    kind after them.  It compares and hashes by what it says, not where:
-    the fields from `line` on are left out."""
+    """A record whose fields from `line` on say where it stands in a file:
+    the line and column (1-based, 0 when built in code) of its first
+    token, and for a definition those of each name in it.  It compares
+    and hashes by what it says, not where: those fields are left out."""
     cut = cls._fields.index("line")
-
-    def same(self, other) -> bool:
-        return type(other) is type(self) and self[:cut] == other[:cut]
-
-    cls.__eq__ = same
-    cls.__ne__ = lambda self, other: not same(self, other)
+    cls.__eq__ = lambda self, other: type(other) is type(self) and self[:cut] == other[:cut]
+    cls.__ne__ = lambda self, other: not self == other
     cls.__hash__ = lambda self: hash(self[:cut])
     return cls
 
