@@ -519,6 +519,7 @@ _FUZZ_COMMANDS = [
 
 
 def _kind(token):
+    # (a number, a name); punctuation and a deleted token are neither
     return token[:1].isdigit(), token[:1].isalpha() or token[:1] == "_"
 
 
@@ -544,7 +545,7 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "session.gda"
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(name=st.sampled_from(SESSION_NAMES), rnd=st.randoms(use_true_random=False))
 def test_mutated_sessions_exit_cleanly_with_one_located_error(fuzz_file, name, rnd):
     text = _mutate(_SHIPPED[name], rnd)
