@@ -129,8 +129,11 @@ def _cmd_model_check(args) -> int:
                 for _ in range(arity)
             )
             term = Term.from_monomial(Monomial(factors))
+            named = {f.generator.name for f in factors}
             assignment = {}
-            for sym in gens:
+            # only the generators the term names, in registry order so the
+            # draws do not follow the hash seed
+            for sym in (g for g in gens if g.name in named):
                 parity = sym.index.n % 2 if model.field == "q" else None
                 if sym.closed_under(d):
                     # a d-closed generator takes values in the kernel of d

@@ -36,6 +36,7 @@ from .verifier import (
     VerifierSetup,
     build_class,
     build_closure_set,
+    closure_head_fault,
 )
 
 class Setting(NamedTuple):
@@ -628,6 +629,14 @@ def build_session(
             raise
         except (GdaError, ValueError) as err:
             raise fail(str(err)) from err
+
+    # a closure set's preconditions are checked once every statement has
+    # acted, since an ideal line may follow the hypotheses line
+    for st in definitions["hypotheses"].values():
+        fault = closure_head_fault(tuple(Factor(registry.get(n)) for n in st.heads), ideals, setup)
+        if fault is not None:
+            line, column = st.at[fault[0]] if st.at else (st.line, st.column)
+            raise GdaSyntaxError(str(fault[1]), line, column, filename)
 
     return Session(
         registry, ideals, conditions, definitions["hypotheses"], definitions["class"],

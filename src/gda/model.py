@@ -12,6 +12,12 @@ exact: an int wherever the value is integral and a Fraction only where
 it is not, so over the two-element field every stored value is the
 int 1.  Each derivation is computed once per model as the image of
 every basis mask, and each kernel basis once per (kind, parity).
+
+Inside `evaluate`, the two-element field holds an element as a bit set,
+an int whose bit m is set when mask m has coefficient 1: products and
+derivations become shifts, masks and XORs over tables the model builds
+once.  Inputs and outputs stay dicts; anything but plain int values and
+coefficients takes the dict walk, which names every error.
 """
 from __future__ import annotations
 
@@ -74,6 +80,11 @@ def wedge(field_name: str, a: Element, b: Element) -> Element:
     if not (_MASKS.issuperset(a) and _MASKS.issuperset(b)):
         bad = next(m for m in (*a, *b) if m not in _MASKS)
         raise ModelError(f"element mask {bad} outside the algebra")
+    return _wedge(field_name, a, b)
+
+
+def _wedge(field_name: str, a: Element, b: Element) -> Element:
+    # the product of two elements whose masks are known to be in range
     acc: dict[int, Coefficient] = {}
     if field_name == "gf2":
         for ma, ca in a.items():
@@ -116,9 +127,13 @@ class Model:
     """k generators over a field ("q" or "gf2"), one table per differential,
     and from the tables: each derivation's image of every basis mask, the
     basis masks per parity (None: all) and as a set, and the kernels
-    solved per (kind, parity)."""
+    solved per (kind, parity).  Over the two-element field also each
+    image as a bit set (`bit_images`) and, per mask, the bit set of the
+    masks disjoint from it (`disjoint`); both are None over the rationals."""
 
-    __slots__ = ("k", "field", "tables", "images", "masks", "basis_set", "kernels")
+    __slots__ = (
+        "k", "field", "tables", "images", "masks", "basis_set", "kernels", "bit_images", "disjoint",
+    )
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, k: int, field: str, tables: dict[DiffKind, dict[int, Element]]):
@@ -126,10 +141,19 @@ class Model:
         _set(self, "field", field)
         _set(self, "tables", tables)
         basis = list(range(1 << k))
-        _set(self, "images", {
+        images = {
             kind: {mask: _basis_image(field, table, mask) for mask in basis}
             for kind, table in tables.items()
-        })
+        }
+        _set(self, "images", images)
+        gf2 = field == "gf2"
+        _set(self, "bit_images", {
+            kind: [sum(1 << m for m in image[mask]) for mask in basis]
+            for kind, image in images.items()
+        } if gf2 else None)
+        _set(self, "disjoint", [
+            sum(1 << mb for mb in basis if not ma & mb) for ma in basis
+        ] if gf2 else None)
         masks: dict[int | None, list[int]] = {None: basis, 0: [], 1: []}
         for mask in basis:
             masks[mask.bit_count() % 2].append(mask)
@@ -216,11 +240,74 @@ def evaluate(term: Term, model: Model, assignment: dict[str, Element]) -> Elemen
     still need a value in the algebra and a table, as does its
     coefficient a value in the field.  When one of those is missing,
     the walk is repeated in term order, so the error raised is the
-    first monomial's in that order."""
+    first monomial's in that order.  Over the two-element field, plain
+    int values and coefficients are evaluated as bit sets instead."""
+    if model.disjoint is not None:
+        bits = _evaluate_bits(term.summands(), model, assignment)
+        if bits is not None:
+            return {m: 1 for m in range(bits.bit_length()) if bits >> m & 1}
     try:
         return _evaluate(term.summands(), model, assignment)
     except (AssignmentError, ModelError):
         return _evaluate(term.items(), model, assignment)
+
+
+def _evaluate_bits(
+    summands: Iterable[tuple[Monomial, Coefficient]], model: Model, assignment: dict[str, Element]
+) -> int | None:
+    # _evaluate on bit sets over the two-element field: for disjoint masks
+    # ma|mb is ma+mb and signs vanish, so a product is the XOR over the
+    # bits ma of a of (b & disjoint[ma]) << ma.  None for what only the
+    # dict walk decides: a value or coefficient that is not a plain int, a
+    # mask outside the algebra, a missing generator or table.
+    basis = model.basis_set
+    bit_images = model.bit_images
+    disjoint = model.disjoint
+    values: dict[tuple, int] = {}
+    root: dict = {}
+    acc = 0
+    for mono, coeff in summands:
+        if type(coeff) is not int:
+            return None
+        node, product = root, 1
+        for factor in mono.factors:
+            key = factor._key
+            step = node.get(key)
+            if step is None:
+                v = values.get(key)
+                if v is None:
+                    element = assignment.get(key[0])
+                    if element is None:
+                        return None
+                    v = 0
+                    for m, c in element.items():
+                        if type(c) is not int or m not in basis:
+                            return None
+                        if c & 1:
+                            v |= 1 << m
+                    for kind in factor.diffs:
+                        images = bit_images.get(kind)
+                        if images is None:
+                            return None
+                        dv = 0
+                        while v:
+                            low = v & -v
+                            dv ^= images[low.bit_length() - 1]
+                            v ^= low
+                        v = dv
+                    values[key] = v
+                if product:
+                    a, product = product, 0
+                    while a:
+                        low = a & -a
+                        ma = low.bit_length() - 1
+                        product ^= (v & disjoint[ma]) << ma
+                        a ^= low
+                step = node[key] = ({}, product)
+            node, product = step
+        if coeff & 1:
+            acc ^= product
+    return acc
 
 
 def _evaluate(
@@ -257,7 +344,7 @@ def _evaluate(
                     # wedge({0: 1}, v) without its products: v in the field
                     product = _reduced(field_name, v)
                 elif product:
-                    product = wedge(field_name, product, v)
+                    product = _wedge(field_name, product, v)
                 step = node[key] = ({}, product)
             node, product = step
         c = _coeff(field_name, coeff)

@@ -24,7 +24,7 @@ from .differentials import (
     SignMode,
     apply_differential,
 )
-from .errors import HypothesisError, LayoutError
+from .errors import GdaError, HeterogeneousSum, HypothesisError, LayoutError
 from .ideals import IdealKind, IdealRegistry
 from .terms import (
     DEFAULT_LAWS,
@@ -168,6 +168,29 @@ class ClosureSet(NamedTuple):
         return ClosureSet(kept)
 
 
+def closure_head_fault(
+    heads: tuple[Factor, Factor], ideals: IdealRegistry, setup: VerifierSetup
+) -> tuple[int, GdaError] | None:
+    """The first precondition of a closure set that its two heads break,
+    as the position of the head at fault and the error; None when each
+    head's d lies in the non-local order-2 ideal and both heads share an
+    index space."""
+    for at, f in enumerate(heads):
+        member = Factor(f.generator, f.diffs + (setup.d,))
+        if not ideals.is_member(IdealKind.nonlocal2, member):
+            return at, HypothesisError(
+                f"{setup.d.token}({f}) must be registered in the non-local"
+                " order-2 ideal before closure conditions can be formed"
+            )
+    first, second = heads
+    if first.effective_index != second.effective_index:
+        return 1, HeterogeneousSum(
+            f"closure heads {first} and {second} live in different spaces:"
+            f" {first.effective_index}, {second.effective_index}"
+        )
+    return None
+
+
 def build_closure_set(
     phi: Factor,
     psi: Factor,
@@ -182,16 +205,11 @@ def build_closure_set(
     differentiated content cancels primitive re-expansions, the doubly
     differentiated one cancels the class differential itself.
     """
-    for f in (phi, psi):
-        member = Factor(f.generator, f.diffs + (setup.d,))
-        if not ideals.is_member(IdealKind.nonlocal2, member):
-            raise HypothesisError(
-                f"{setup.d.token}({f}) must be registered in the non-local"
-                " order-2 ideal before closure conditions can be formed"
-            )
+    fault = closure_head_fault((phi, psi), ideals, setup)
+    if fault is not None:
+        raise fault[1]
     phi_t = Term.from_factor(phi)
     psi_t = Term.from_factor(psi)
-    add(phi_t, psi_t)  # HeterogeneousSum unless phi and psi share an index
     bases = [(phi.generator.name, phi_t), (psi.generator.name, psi_t)]
     # a condition is linear in each content, so a phi+psi slot is the sum
     # of its phi and psi conditions and only those are expanded; when the

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cli_corpus
+import gda.cli
 from gda import GdaSyntaxError, build_session, parse_text, print_session
 from gda.cli import _build_parser, main
 from gda.dsl import SETTINGS
@@ -310,6 +311,68 @@ def test_model_check_samples_closed_generators_in_the_kernel(flags, capsys):
     assert "status: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, flags", [
+    ("invariant_class.gda", ["--sign-mode", "paper"]),
+    ("invariant_class.gda", ["--sign-mode", "koszul"]),
+    ("minimal.gda", ["--sign-mode", "paper"]),
+    ("minimal.gda", ["--sign-mode", "koszul"]),
+])
+def test_model_check_draws_only_the_generators_a_trial_names(name, flags, monkeypatch, capsys):
+    pending, trials = [], []
+
+    def spy(how, draw):
+        def wrapped(*args):
+            pending.append(how)
+            return draw(*args)
+        return wrapped
+
+    def evaluate(term, model, assignment):
+        # called twice a trial on one assignment: the symbolic side, then
+        # the trial's term; the draws come before the first call
+        if pending:
+            trials.append((list(pending), assignment))
+            pending.clear()
+        else:
+            trials[-1] += (term,)
+        return real_evaluate(term, model, assignment)
+
+    real_evaluate = gda.cli.evaluate
+    monkeypatch.setattr(gda.cli, "random_element", spy("free", gda.cli.random_element))
+    monkeypatch.setattr(gda.cli, "random_kernel_element", spy("kernel", gda.cli.random_kernel_element))
+    monkeypatch.setattr(gda.cli, "evaluate", evaluate)
+    path = SESSIONS / name
+    assert main(["model-check", str(path), "--trials", "60", "--seed", "4", *flags]) == 0
+    assert "status: ok" in capsys.readouterr().out
+    assert len(trials) == 60
+    session = build_session(parse_text(path.read_text()), str(path), {"sign-mode": flags[1]})
+    registry = session.registry
+    kinds = set()
+    for draws, assignment, term in trials:
+        named = {f.generator.name for mono in term.monomials() for f in mono.factors}
+        expected = [n for n in registry.names() if n in named]
+        assert list(assignment) == expected
+        closed = [registry.get(n).closed_under(session.setup.d) for n in expected]
+        assert draws == ["kernel" if c else "free" for c in closed]
+        kinds.update(zip(expected, draws))
+    if name == "minimal.gda":
+        # b is dclosed: every draw of b is from the kernel of d
+        assert kinds == {("a", "free"), ("b", "kernel")}
+
+
+@pytest.mark.parametrize("name, where, error", [
+    ("missing_closure_ideal.gda", "8:30",
+     "d(eta) must be registered in the non-local order-2 ideal before closure conditions can be formed"),
+    ("mixed_closure_spaces.gda", "9:30",
+     "closure heads phi and eta live in different spaces: (1,1,0), (1,1,1)"),
+])
+def test_closure_preconditions_fail_check_at_the_head(name, where, error, capsys):
+    path = GOLDEN / "malformed" / name
+    for command in (["check"], ["verify-class", "--class", "INV"],
+                    ["verify-independence", "--class", "INV", "--eta", "eta"]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"{path}:{where}: error: {error}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", CLASS_FILE, "--seed", "1"],
     ["verify-class", CLASS_FILE, "--class", "INV", "--depth", "4"],
@@ -518,6 +581,14 @@ _FUZZ_COMMANDS = [
 ]
 
 
+# the unlocated errors a session that passes check can still meet: a
+# --class the file does not define, and independence in the drop layout
+_UNLOCATED_AFTER_CHECK = {
+    "error: unknown class 'INV'\n",
+    "error: primitive reconstruction needs the paired layout (epsilon mode pair)\n",
+}
+
+
 def _kind(token):
     # (a number, a name); punctuation and a deleted token are neither
     return token[:1].isdigit(), token[:1].isalpha() or token[:1] == "_"
@@ -551,12 +622,14 @@ def test_mutated_sessions_exit_cleanly_with_one_located_error(fuzz_file, name, r
     text = _mutate(_SHIPPED[name], rnd)
     fuzz_file.write_text(text)
     lines = text.split("\n")
+    checked = False
     for command in _FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command[0], str(fuzz_file), *command[1:]])
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2), command
+        checked = checked or (command[0] == "check" and code == 0)
         if code != 2:
             assert err == "", command
             if command[0] == "print":
@@ -567,6 +640,9 @@ def test_mutated_sessions_exit_cleanly_with_one_located_error(fuzz_file, name, r
         located = re.fullmatch(rf"{re.escape(str(fuzz_file))}:(\d+):(\d+): error: (.*)\n", err)
         if located is None:
             assert err.startswith("error: "), err
+            # once check passes, the file's content cannot fail a command
+            # unlocated: only the command line or the drop-mode refusal can
+            assert not checked or err in _UNLOCATED_AFTER_CHECK, (command, err)
             continue
         unknown = re.fullmatch(r"unknown generator ('.*'|\".*\")", located[3])
         if unknown:

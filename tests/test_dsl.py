@@ -221,6 +221,7 @@ def test_definitions_built_in_code_need_their_head_count():
     base = parse_text(
         "gen phi index (1,1,0);\ngen eta index (1,1,0);\n"
         + "".join(f"gen P{i} index (0,0,0);\n" for i in range(1, 5))
+        + "ideal nonlocal2 d(phi);\nideal nonlocal2 d(eta);\n"
     )
     comps = ("P1", "P2", "P3", "P4")
     for statement, heads, word, need in (
@@ -235,6 +236,21 @@ def test_definitions_built_in_code_need_their_head_count():
         )
     good = build_session(base + [Definition("hypotheses", "H", ("phi", "eta"), comps)])
     assert good.hypothesis_decls["H"].heads == ("phi", "eta")
+
+
+def test_closure_preconditions_are_checked_after_every_statement():
+    # the ideal lines may follow the hypotheses line; a head whose d is
+    # in no ideal is reported at the head once every statement has acted
+    heads = "gen phi index (1,1,0);\ngen eta index (1,1,0);\ngen P index (0,0,0);\n"
+    closure = "hypotheses H := closure(phi, eta; P, P, P, P);\n"
+    session = build_session(parse_text(heads + closure + "ideal nonlocal2 d(phi);\nideal nonlocal2 d(eta);\n"))
+    assert list(session.hypothesis_decls) == ["H"]
+    with pytest.raises(GdaSyntaxError) as err:
+        build_session(parse_text(heads + closure + "ideal nonlocal2 d(eta);\n"), "x.gda")
+    assert str(err.value) == (
+        "x.gda:4:25: error: d(phi) must be registered in the non-local order-2"
+        " ideal before closure conditions can be formed"
+    )
 
 
 def test_duplicate_class_names_rejected():

@@ -1,5 +1,7 @@
 """Finite exterior-algebra models used for numeric spot checks."""
+import copy
 import functools
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from gda import (
     random_kernel_element,
     wedge,
 )
-from gda.model import _coeff, _reduced, random_in_span
+from gda.model import _coeff, _evaluate_bits, _reduced, random_in_span
 
 D = DiffKind.delta
 DD = DiffKind.Delta
@@ -426,3 +428,97 @@ def test_evaluate_rejects_assigned_masks_outside_the_algebra(make_model, mask):
     for factor in (Factor(a), Factor(a, (D,))):
         with pytest.raises(ModelError, match=f"mask {mask} outside the algebra"):
             evaluate(Term.from_factor(factor), make_model(), {"a": {1: 1, mask: 1}})
+
+
+@functools.cache
+def _int_gf2_strategies():
+    # plain-int coefficients and values only, so evaluate takes the bit
+    # path; stacks of one or two differentials; elements sparse (possibly
+    # empty) or dense, whose products sum several basis pairs per mask
+    stacks = [(), (D,), (DD,), (D, DD), (DD, D), (D, D)]
+    coefficients = st.integers(-3, 3)
+    factors = st.builds(Factor, st.sampled_from(_EVAL_GENS), st.sampled_from(stacks))
+    elements = st.one_of(
+        st.dictionaries(st.integers(0, 15), coefficients, max_size=8),
+        st.integers(0, 0xFFFF).map(lambda bits: {m: 1 for m in range(16) if bits >> m & 1}),
+    )
+    return factors, coefficients, elements
+
+
+@st.composite
+def _int_gf2_cases(draw):
+    factors, coefficients, elements = _int_gf2_strategies()
+    # at most three factors: in four generators longer products mostly vanish
+    stems = draw(st.lists(st.lists(factors, max_size=2), min_size=1, max_size=3))
+    summands = {}
+    for _ in range(draw(st.integers(1, 6))):
+        stem = draw(st.sampled_from(stems))
+        summands[Monomial(tuple(stem + draw(st.lists(factors, max_size=1))))] = draw(coefficients)
+    assignment = {g.name: draw(elements) for g in _EVAL_GENS}
+    return Term(summands), assignment
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_int_gf2_cases())
+def test_gf2_bit_path_matches_the_reference_evaluator(case):
+    term, assignment = case
+    model = _EVAL_MODELS["gf2"]
+    # every case stays on the bit path: no value needs the dict walk
+    assert _evaluate_bits(term.summands(), model, assignment) is not None
+    expected = _outcome(_reference_evaluate, term, model, assignment)
+    assert _outcome(evaluate, term, model, assignment) == expected
+
+
+def test_gf2_bit_path_covers_zero_products_and_empty_values():
+    a, b = _EVAL_GENS[:2]
+    model = corner_model()
+    ab = Term.from_monomial(Monomial((Factor(a), Factor(b))))
+    # a shared generator wedges to zero, an empty value is zero, and an
+    # even value or coefficient vanishes in the field
+    assert evaluate(ab, model, {"a": {1: 1}, "b": {3: 1}}) == {}
+    assert evaluate(ab, model, {"a": {}, "b": {2: 1}}) == {}
+    assert evaluate(ab, model, {"a": {1: 2}, "b": {2: 1}}) == {}
+    assert evaluate(Term.from_monomial(Monomial((Factor(a), Factor(b))), 2), model,
+                    {"a": {1: 1}, "b": {2: 1}}) == {}
+    assert evaluate(ab, model, {"a": {1: 1, 4: -1}, "b": {2: 3}}) == {3: 1, 6: 1}
+    # two basis pairs with one union cancel: e1 e2 + e2 e1 is 0 mod 2
+    assert evaluate(ab, model, {"a": {1: 1, 2: 1}, "b": {1: 1, 2: 1}}) == {}
+    # the empty monomial is the unit
+    assert evaluate(Term({Monomial(()): 3}), model, {}) == {0: 1}
+
+
+def test_gf2_bit_path_derives_as_derive_element():
+    m = corner_model()
+    a = _EVAL_GENS[0]
+    rng = random.Random(23)
+    for _ in range(40):
+        x = random_element(m, rng)
+        for stack in [(D,), (DD,), (D, DD), (DD, D)]:
+            expected = x
+            for kind in stack:
+                expected = derive_element(m, kind, expected)
+            assert evaluate(Term.from_factor(Factor(a, stack)), m, {"a": x}) == expected
+    for kind in m.tables:
+        for mask in m.masks[None]:
+            assert evaluate(Term.from_factor(Factor(a, (kind,))), m, {"a": {mask: 1}}) == (
+                derive_element(m, kind, {mask: 1})
+            )
+
+
+@pytest.mark.parametrize("make_model", [corner_model, raising_model])
+def test_copied_and_pickled_models_evaluate_the_same(make_model):
+    m = make_model()
+    a, b = _EVAL_GENS[:2]
+    stacks = [()] + [(kind,) for kind in m.tables]
+    rng = random.Random(31)
+    copies = [copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+    for twin in copies:
+        assert (twin.bit_images, twin.disjoint) == (m.bit_images, m.disjoint)
+    for _ in range(30):
+        term = Term.from_monomial(
+            Monomial((Factor(a, rng.choice(stacks)), Factor(b, rng.choice(stacks)))), rng.randint(1, 3)
+        )
+        assignment = {"a": random_element(m, rng), "b": random_element(m, rng)}
+        expected = evaluate(term, m, assignment)
+        for twin in copies:
+            assert evaluate(term, twin, assignment) == expected
