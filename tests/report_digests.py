@@ -1,7 +1,9 @@
 """Committed digests of whole verification reports: the independence
 check with its 7 ablations, and the cocycle check with every 7th closure
 condition left out, over the shipped class and seeded random contexts in
-both sign modes.
+both sign modes; then the same cocycle reports in drop epsilon mode, where
+the closure conditions that differ only in the left-out first content
+share one expansion.
 
 Each line of `tests/golden/report_digests.txt` is the sha256 of one
 report's `to_json()` (keys sorted) and the report's label, so the trace,
@@ -21,7 +23,7 @@ import json
 import random
 from pathlib import Path
 
-from gda import SignMode, build_class, build_closure_set, load_session, verify_cocycle, verify_independence
+from gda import EpsilonMode, SignMode, build_class, build_closure_set, load_session, verify_cocycle, verify_independence
 from test_acceptance import random_theorem_context
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,14 +60,25 @@ def reports():
             yield f"{label} independence without {tag}", verify_independence(
                 phi, eta, comps, closure_set.without(tag), ideals, setup
             )
-        class_term = build_class(phi, comps, setup)
-        yield f"{label} cocycle", verify_cocycle(class_term, closure_set, ideals, setup)
-        # from the second condition on, so that the one the class needs
-        # (phi|phi|phi|Dd) is among those left out
-        for h in closure_set.conditions[1::7]:
-            yield f"{label} cocycle without {h.tag}", verify_cocycle(
-                class_term, closure_set.without(h.tag), ideals, setup
-            )
+        yield from cocycle_reports(label, phi, eta, comps, ideals, setup)
+    # independence needs the paired layout, so drop mode pins the cocycle only
+    for label, phi, eta, comps, ideals, setup in contexts():
+        drop = dataclasses.replace(setup, epsilon_mode=EpsilonMode.drop)
+        yield from cocycle_reports(f"{label} drop", phi, eta, comps, ideals, drop)
+
+
+def cocycle_reports(label, phi, eta, comps, ideals, setup):
+    """The cocycle report over the full closure set, then with every 7th
+    condition left out."""
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    class_term = build_class(phi, comps, setup)
+    yield f"{label} cocycle", verify_cocycle(class_term, closure_set, ideals, setup)
+    # from the second condition on, so that the one the class needs
+    # (phi|phi|phi|Dd) is among those left out
+    for h in closure_set.conditions[1::7]:
+        yield f"{label} cocycle without {h.tag}", verify_cocycle(
+            class_term, closure_set.without(h.tag), ideals, setup
+        )
 
 
 def digest(report) -> str:
