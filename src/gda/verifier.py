@@ -172,9 +172,14 @@ def closure_head_fault(
     heads: tuple[Factor, Factor], ideals: IdealRegistry, setup: VerifierSetup
 ) -> tuple[int, GdaError] | None:
     """The first precondition of a closure set that its two heads break,
-    as the position of the head at fault and the error; None when each
-    head's d lies in the non-local order-2 ideal and both heads share an
-    index space."""
+    as the position of the head at fault and the error; None when the
+    heads are two different generators, each head's d lies in the
+    non-local order-2 ideal and both heads share an index space."""
+    first, second = heads
+    if first.generator.name == second.generator.name:
+        return 1, HypothesisError(
+            f"closure heads must be two different generators, got {first.generator.name} twice"
+        )
     for at, f in enumerate(heads):
         member = Factor(f.generator, f.diffs + (setup.d,))
         if not ideals.is_member(IdealKind.nonlocal2, member):
@@ -182,7 +187,6 @@ def closure_head_fault(
                 f"{setup.d.token}({f}) must be registered in the non-local"
                 " order-2 ideal before closure conditions can be formed"
             )
-    first, second = heads
     if first.effective_index != second.effective_index:
         return 1, HeterogeneousSum(
             f"closure heads {first} and {second} live in different spaces:"

@@ -364,6 +364,8 @@ def test_model_check_draws_only_the_generators_a_trial_names(name, flags, monkey
      "d(eta) must be registered in the non-local order-2 ideal before closure conditions can be formed"),
     ("mixed_closure_spaces.gda", "9:30",
      "closure heads phi and eta live in different spaces: (1,1,0), (1,1,1)"),
+    ("same_closure_heads.gda", "9:30",
+     "closure heads must be two different generators, got phi twice"),
 ])
 def test_closure_preconditions_fail_check_at_the_head(name, where, error, capsys):
     path = GOLDEN / "malformed" / name

@@ -38,7 +38,7 @@ from gda import (
     verify_independence,
 )
 from gda.terms import exact_quotient, stack_vanishes
-from gda.verifier import _class_difference
+from gda.verifier import _class_difference, closure_head_fault
 
 CLASS_FILE = Path(__file__).resolve().parent.parent / "sessions" / "invariant_class.gda"
 
@@ -139,6 +139,19 @@ def test_closure_set_requires_registered_differential():
     empty = IdealRegistry()
     with pytest.raises(HypothesisError):
         build_closure_set(phi, eta, comps, empty, setup)
+
+
+def test_closure_set_requires_two_different_heads():
+    # the same head twice would give every tag twice and every sum as a
+    # doubled part
+    reg, phi, eta, comps, ideals, setup = standard_context()
+    assert closure_head_fault((phi, eta), ideals, setup) is None
+    for heads in ((phi, phi), (phi, Factor(phi.generator, (setup.dbar,)))):
+        at, error = closure_head_fault(heads, ideals, setup)
+        assert at == 1 and isinstance(error, HypothesisError)
+        assert str(error) == "closure heads must be two different generators, got phi twice"
+        with pytest.raises(HypothesisError, match="two different generators"):
+            build_closure_set(*heads, comps, ideals, setup)
 
 
 def test_closure_find_and_without():
