@@ -10,7 +10,11 @@ element is checked by reconstructing an explicit primitive for the
 difference of two classes.
 
 All cancellation is exact: a hypothesis fires only when every one of its
-monomials is present with one common coefficient ratio.
+monomials is present with one common coefficient ratio.  A closure set
+is built on demand: each single-assignment part is expanded on first
+read and shared by every set that without() derives, and a sum, whose
+parts share no monomial, is matched and subtracted part by part and
+formed only when a caller reads its term.
 """
 from __future__ import annotations
 
@@ -117,10 +121,8 @@ def _layout(
     built, and the two leading completions sit side by side.  Returns
     the layout and the completion positions.
     """
-    if len(completions) != 4:
-        raise LayoutError(f"class layout needs 4 completion factors, got {len(completions)}")
     completion_at, (at1, at2, at3) = _LAYOUT[setup.epsilon_mode]
-    parts = dict(zip(completion_at, map(Term.from_factor, completions)))
+    parts = dict(zip(completion_at, map(Term.from_factor, _four(completions))))
     if at1 is not None:
         c1 = xi1
         for kind in (setup.d,) * level + (setup.dbar,):
@@ -129,6 +131,12 @@ def _layout(
     parts[at2] = apply_differential(setup.d, xi2, setup.sign, setup.laws)
     parts[at3] = xi3
     return multiply([parts[pos] for pos in sorted(parts)]), completion_at
+
+
+def _four(completions: Sequence[Factor]) -> tuple[Factor, ...]:
+    if len(completions) != 4:
+        raise LayoutError(f"class layout needs 4 completion factors, got {len(completions)}")
+    return tuple(completions)
 
 
 def build_class(
@@ -154,18 +162,54 @@ class ClosureHypothesis(NamedTuple):
     term: Term
 
 
+class _Conditions:
+    """A closure set's conditions in order, each as [tag, assignment,
+    level, the choices whose product keys its parts, the parts once read];
+    part (i1, i2, i3, level), 0 for the first head and 1 for the second,
+    is d of one closure layout, kept in `built` once read."""
+
+    def __init__(self, args: tuple, entries: list[list], built: dict):
+        self.args, self.entries, self.built = args, entries, built
+        self.by_key = {(e[1], e[2]): e for e in entries}
+
+    def parts(self, entry: list) -> list[Term]:
+        if entry[4] is None:
+            (heads, completions, setup), built = self.args, self.built
+            for key in product(*entry[3]):
+                if key not in built:
+                    i1, i2, i3, level = key
+                    layout, slots = _layout(setup, completions, heads[i1], heads[i2], heads[i3], level)
+                    built[key] = apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
+            entry[4] = [built[key] for key in product(*entry[3])]
+        return entry[4]
+
+    def form(self, entry: list) -> ClosureHypothesis:
+        first, *rest = self.parts(entry)
+        return ClosureHypothesis(*entry[:3], sum(rest, first))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return [*map(self.form, self.entries[i])] if isinstance(i, slice) else self.form(self.entries[i])
+
+    def __iter__(self):
+        return map(self.form, self.entries)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (_Conditions, list)) and list(self) == list(other)
+
+
 class ClosureSet(NamedTuple):
-    conditions: list[ClosureHypothesis]
+    conditions: Sequence[ClosureHypothesis]
 
     def find(self, assignment: tuple[str, str, str], slot1_level: int) -> ClosureHypothesis | None:
-        for h in self.conditions:
-            if h.assignment == assignment and h.slot1_level == slot1_level:
-                return h
-        return None
+        entry = self.conditions.by_key.get((assignment, slot1_level))
+        return None if entry is None else self.conditions.form(entry)
 
     def without(self, tag: str) -> "ClosureSet":
-        kept = [h for h in self.conditions if h.tag != tag]
-        return ClosureSet(kept)
+        c = self.conditions
+        return ClosureSet(_Conditions(c.args, [e for e in c.entries if e[0] != tag], c.built))
 
 
 def closure_head_fault(
@@ -212,72 +256,64 @@ def build_closure_set(
     fault = closure_head_fault((phi, psi), ideals, setup)
     if fault is not None:
         raise fault[1]
-    phi_t = Term.from_factor(phi)
-    psi_t = Term.from_factor(psi)
-    bases = [(phi.generator.name, phi_t), (psi.generator.name, psi_t)]
-    # a condition is linear in each content, so a phi+psi slot is the sum
-    # of its phi and psi conditions and only those are expanded; when the
-    # layout leaves the first content out, a condition depends on neither
-    # the first element nor the first-slot depth, so the one expanded for
-    # phi at depth 0 serves them all
+    a, b = phi.generator.name, psi.generator.name
+    # a condition is linear in each content, so a phi+psi slot sums its phi
+    # and psi parts; when the layout leaves the first content out, neither
+    # the first element nor the depth changes a part: phi at 0 serves all
     first_kept = _LAYOUT[setup.epsilon_mode][1][0] is not None
-    expanded: dict[tuple[int, int, int, int], Term] = {}
-    for i1, i2, i3, level in product((0, 1), repeat=4):
-        if not first_kept and (i1 or level):
-            expanded[i1, i2, i3, level] = expanded[0, i2, i3, 0]
-            continue
-        layout, slots = _layout(setup, completions, bases[i1][1], bases[i2][1], bases[i3][1], level)
-        expanded[i1, i2, i3, level] = apply_differential(setup.d, layout, setup.sign, setup.laws, slots)
-    conditions = []
-    for firsts, seconds, thirds in product([(0,), (1,), (0, 1)], repeat=3):
-        names = tuple("+".join(bases[i][0] for i in part) for part in (firsts, seconds, thirds))
-        if not first_kept:
-            # the slot-1 choice does not change the condition and is not summed
-            firsts = firsts[:1]
-        for level in (0, 1):
-            condition = sum(
-                (expanded[i1, i2, i3, level] for i1, i2, i3 in product(firsts, seconds, thirds)),
-                Term.zero(),
-            )
-            tag = f"{names[0]}|{names[1]}|{names[2]}|{'Dd' if level else 'D'}"
-            conditions.append(ClosureHypothesis(tag, names, level, condition))
-    return ClosureSet(conditions)
+    entries = [
+        [f"{n1}|{n2}|{n3}|{'Dd' if level else 'D'}", (n1, n2, n3), level,
+         (p1, p2, p3, (level,)) if first_kept else ((0,), p2, p3, (0,)), None]
+        for (n1, p1), (n2, p2), (n3, p3) in product(((a, (0,)), (b, (1,)), (f"{a}+{b}", (0, 1))), repeat=3)
+        for level in (0, 1)
+    ]
+    heads = (Term.from_factor(phi), Term.from_factor(psi))
+    return ClosureSet(_Conditions((heads, _four(completions), setup), entries, {}))
 
 
 # --- cancellation machinery -------------------------------------------
 
-def _match_ratio(term: Term, hypothesis: Term) -> Coefficient | None:
-    """The one ratio at which term holds every (monomial, coefficient)
-    of hypothesis, or None; always None for a zero hypothesis."""
+def _match_ratio(term: Term, parts: Sequence[Term]) -> Coefficient | None:
+    """The one ratio at which term holds every (monomial, coefficient) of
+    every part, or None; always None when every part is zero.  Parts that
+    share no monomial match here exactly when term holds their sum."""
     ratio = None
-    for mono, coeff in hypothesis.summands():
-        present = term.coefficient(mono)
-        if ratio is None:
-            if not present:
+    for part in parts:
+        for mono, coeff in part.summands():
+            present = term.coefficient(mono)
+            if ratio is None:
+                if not present:
+                    return None
+                ratio = exact_quotient(present, coeff)
+            elif present != ratio * coeff:
                 return None
-            ratio = exact_quotient(present, coeff)
-        elif present != ratio * coeff:
-            return None
     return ratio
 
 
 def cancel_hypotheses(
-    term: Term, hypotheses: list[ClosureHypothesis]
+    term: Term, hypotheses: Sequence[ClosureHypothesis]
 ) -> tuple[Term, list[TraceStep]]:
     """Subtract each hypothesis that term holds at one common ratio, trying
     them once in list order.  One pass is exhaustive: a firing removes
     exactly that hypothesis's monomials and leaves every other coefficient
     as it was, so a hypothesis that did not match earlier in the pass
     cannot match later, and one that fired cannot fire again."""
+    if isinstance(hypotheses, _Conditions):
+        tried = ((e[0], e[4] or hypotheses.parts(e)) for e in hypotheses.entries)
+    else:
+        tried = ((h.tag, (h.term,)) for h in hypotheses)
     steps: list[TraceStep] = []
-    for h in hypotheses:
-        if term.is_zero:
-            break
-        ratio = _match_ratio(term, h.term)
+    if term.is_zero:  # a part is read only while the term is nonzero
+        return term, steps
+    for tag, terms in tried:
+        ratio = _match_ratio(term, terms)
         if ratio is not None:
             before = term
-            term = term - h.term * ratio
-            steps.append(TraceStep(f"hypothesis:{h.tag}", before, term))
+            for part in terms:
+                term = term - part * ratio
+            steps.append(TraceStep(f"hypothesis:{tag}", before, term))
+            if term.is_zero:
+                break
     return term, steps
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gda.verifier
 import report_digests
 from gda import (
     DiffKind,
@@ -277,6 +278,93 @@ def test_one_pass_cancel_matches_the_fixed_point(which, picked, strays, order, k
     ref_out, ref_steps = fixed_point_cancel(term, tried)
     assert out == ref_out
     assert [tuple(s) for s in steps] == ref_steps
+
+
+@functools.cache
+def lazy_closure_sets():
+    """The closure sets of _digest_contexts in every sign and epsilon
+    mode; drop mode is where the first-content choices share a part."""
+    return [
+        closure_set
+        for sign, eps in itertools.product(SignMode, EpsilonMode)
+        for closure_set in _digest_contexts(VerifierSetup(sign=sign, epsilon_mode=eps))
+    ]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 19),
+    st.lists(st.tuples(st.integers(0, 53), ratios), max_size=6),
+    st.lists(st.tuples(st.integers(0, 53), st.integers(0, 99), ratios), max_size=3),
+    st.lists(st.integers(0, 53), max_size=3),
+    st.booleans(),
+)
+def test_lazy_cancel_matches_the_formed_conditions(which, picked, strays, cuts, singles_cut):
+    # multiples of conditions, sums included, plus stray monomials, against
+    # a closure set (possibly cut by without()) matched part by part and
+    # against the same conditions formed into a plain list; a sum's parts
+    # come before it, so a sum fires only where its single parts are cut
+    full = lazy_closure_sets()[which]
+    hypotheses = list(full.conditions)
+    if singles_cut:
+        cuts = cuts + [i for i, h in enumerate(hypotheses) if "+" not in h.tag]
+    closure_set = full
+    for i in cuts:
+        closure_set = closure_set.without(hypotheses[i].tag)
+    term = Term.zero()
+    for i, ratio in picked:
+        term = term + hypotheses[i].term * ratio
+    for i, j, ratio in strays:
+        items = hypotheses[i].term.items()
+        if items:
+            term = term + Term.from_monomial(items[j % len(items)][0], ratio)
+    out, steps = cancel_hypotheses(term, closure_set.conditions)
+    formed_out, formed_steps = cancel_hypotheses(term, list(closure_set.conditions))
+    assert out == formed_out
+    assert [tuple(s) for s in steps] == [tuple(s) for s in formed_steps]
+    assert len(closure_set.conditions) == 54 - len({hypotheses[i].tag for i in cuts})
+
+
+def test_closure_sets_are_built_on_demand(monkeypatch):
+    session = load_session(CLASS_FILE)
+    phi, comps = session.class_parts("INV")
+    eta, ideals, setup = session.factor("eta"), session.ideals, session.setup
+    class_term = session.class_term("INV")
+    layouts, formed = [], []
+    layout, hypothesis = gda.verifier._layout, gda.verifier.ClosureHypothesis
+
+    def spy_layout(*args):
+        layouts.append(args)
+        return layout(*args)
+
+    def spy_hypothesis(*fields):
+        formed.append(fields[0])
+        return hypothesis(*fields)
+
+    monkeypatch.setattr(gda.verifier, "_layout", spy_layout)
+    monkeypatch.setattr(gda.verifier, "ClosureHypothesis", spy_hypothesis)
+    # the preconditions and the completion count still fail at build time
+    with pytest.raises(LayoutError):
+        build_closure_set(phi, eta, comps[:3], ideals, setup)
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    assert layouts == [] and len(closure_set.conditions) == 54
+    # phi|phi|phi|D fails to match, phi|phi|phi|Dd zeroes the term
+    report = verify_cocycle(class_term, closure_set, ideals, setup)
+    assert report.ok and len(layouts) == 2 and formed == []
+    # the independence check and its ablations form no sum, and every set
+    # that without() derives shares the parts: the first ablation reads
+    # phi|eta|phi|D only through the sums, yet the full set reuses its part
+    closure_set = build_closure_set(phi, eta, comps, ideals, setup)
+    ablations = report_digests.ABLATIONS
+    assert ablations[1] == "phi|eta|phi|D"
+    verify_independence(phi, eta, comps, closure_set.without(ablations[1]), ideals, setup)
+    built = len(layouts)
+    assert verify_independence(phi, eta, comps, closure_set, ideals, setup).ok
+    for tag in ablations:
+        verify_independence(phi, eta, comps, closure_set.without(tag), ideals, setup)
+    assert len(layouts) == built
+    # one lookup per assignment of the class difference, less the one left out
+    assert len(formed) == 6 + 7 + 7 * 6 and not any("+" in tag for tag in formed)
 
 
 def normal_coefficients(term: Term) -> bool:
