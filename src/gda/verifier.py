@@ -197,7 +197,7 @@ class _Conditions:
         return map(self.form, self.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, (_Conditions, list)) and list(self) == list(other)
+        return isinstance(other, _Conditions) and list(self) == list(other)
 
 
 class ClosureSet(NamedTuple):
