@@ -3,7 +3,8 @@ check with its 7 ablations, and the cocycle check with every 7th closure
 condition left out, over the shipped class and seeded random contexts in
 both sign modes; then the same cocycle reports in drop epsilon mode, where
 the closure conditions that differ only in the left-out first content
-share one expansion.
+share one expansion; then, per drop context, the failing cocycle report
+with every condition on that expansion left out.
 
 Each line of `tests/golden/report_digests.txt` is the sha256 of one
 report's `to_json()` (keys sorted) and the report's label, so the trace,
@@ -38,6 +39,11 @@ ABLATIONS = [
     if names != ("phi", "phi", "phi")
 ]
 
+# in drop mode the conditions X|phi|phi|D and X|phi|phi|Dd, for X each
+# first content, read one expansion: the class needs it, so leaving out
+# the two with X = phi still verifies and leaving out all six fails
+DROP_FAILURE = [f"{x}|phi|phi|{level}" for x in ("phi", "eta", "phi+eta") for level in ("D", "Dd")]
+
 
 def contexts():
     """(label, phi, eta, completions, ideals, setup), both signs each."""
@@ -65,6 +71,14 @@ def reports():
     for label, phi, eta, comps, ideals, setup in contexts():
         drop = dataclasses.replace(setup, epsilon_mode=EpsilonMode.drop)
         yield from cocycle_reports(f"{label} drop", phi, eta, comps, ideals, drop)
+    for label, phi, eta, comps, ideals, setup in contexts():
+        drop = dataclasses.replace(setup, epsilon_mode=EpsilonMode.drop)
+        closure_set = build_closure_set(phi, eta, comps, ideals, drop)
+        for tag in DROP_FAILURE:
+            closure_set = closure_set.without(tag)
+        yield f"{label} drop cocycle without *|phi|phi", verify_cocycle(
+            build_class(phi, comps, drop), closure_set, ideals, drop
+        )
 
 
 def cocycle_reports(label, phi, eta, comps, ideals, setup):

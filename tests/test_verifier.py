@@ -1,4 +1,5 @@
 """Invariant-class construction, closure bookkeeping, both verifiers."""
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -573,6 +574,23 @@ def test_report_digests_are_unchanged():
     changed = [label for (label, sha), (_, fresh) in zip(entries, now) if sha != fresh]
     assert not changed, "report differs from tests/golden/report_digests.txt:\n" + "\n".join(changed)
 
+
+def test_drop_mode_digests_pin_a_failing_cocycle_report():
+    # in drop mode X|phi|phi|D and X|phi|phi|Dd read one expansion for
+    # every first content X: leaving out the pair for X = phi still
+    # verifies, and leaving out all six, as the last digest lines do,
+    # fails in every drop context
+    for label, phi, eta, comps, ideals, setup in report_digests.contexts():
+        drop = dataclasses.replace(setup, epsilon_mode=EpsilonMode.drop)
+        closure_set = build_closure_set(phi, eta, comps, ideals, drop)
+        class_term = build_class(phi, comps, drop)
+        pair = closure_set.without("phi|phi|phi|D").without("phi|phi|phi|Dd")
+        six = closure_set
+        for tag in report_digests.DROP_FAILURE:
+            six = six.without(tag)
+        assert len(six.conditions) == len(closure_set.conditions) - 6
+        assert verify_cocycle(class_term, pair, ideals, drop).ok, label
+        assert not verify_cocycle(class_term, six, ideals, drop).ok, label
 
 def _cold(phi, eta, comps, closure_set, ideals, setup):
     _class_difference.cache_clear()
