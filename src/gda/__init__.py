@@ -45,6 +45,7 @@ from .model import (
     Model,
     build_model,
     corner_model,
+    derivation_holds,
     derive_element,
     evaluate,
     kernel_basis,

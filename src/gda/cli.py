@@ -18,8 +18,7 @@ from .dsl import SETTINGS, Session, load_session, parse_file, print_session
 from .errors import GdaError, GdaSyntaxError, ModelError
 from .model import (
     corner_model,
-    derive_element,
-    evaluate,
+    derivation_holds,
     raising_model,
     random_element,
     random_kernel_element,
@@ -108,6 +107,22 @@ def _cmd_verify_independence(args) -> int:
     return _print_report(report, args.report)
 
 
+def _below(rng: random.Random):
+    """rng.randrange(n) without its call layers: rejection sampling on
+    getrandbits(n.bit_length()), as random.Random draws randint and
+    choice, so the same values and the same end state."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    return below
+
+
 def _cmd_model_check(args) -> int:
     session = _load(args)
     model = corner_model() if session.setup.sign is SignMode.paper_literal else raising_model()
@@ -121,31 +136,35 @@ def _cmd_model_check(args) -> int:
     if not gens:
         notes.append("no generators declared; nothing to sample")
     else:
-        stack_options = [()] + [(kind,) for kind in model.tables]
+        stacks = [()] + [(kind,) for kind in model.tables]
+        options = [[Factor(sym, stack) for stack in stacks] for sym in gens]
+        sign, laws = session.setup.sign, session.setup.laws
+        # each generator's draw, in registry order so that the draws do
+        # not follow the hash seed: its name, the parity its values keep
+        # (rational model only) and whether it is d-closed, when it takes
+        # values in the kernel of d
+        plan = [
+            (sym.name, sym.index.n % 2 if model.field == "q" else None, sym.closed_under(d))
+            for sym in gens
+        ]
+        below = _below(rng)
         for trial in range(args.trials):
-            arity = rng.randint(1, 3)
+            # rng.randint(1, 3) factors, each rng.choice(gens) under
+            # rng.choice(stacks)
             factors = tuple(
-                Factor(rng.choice(gens), rng.choice(stack_options))
-                for _ in range(arity)
+                options[below(len(gens))][below(len(stacks))] for _ in range(1 + below(3))
             )
             term = Term.from_monomial(Monomial(factors))
             named = {f.generator.name for f in factors}
-            assignment = {}
-            # only the generators the term names, in registry order so the
-            # draws do not follow the hash seed
-            for sym in (g for g in gens if g.name in named):
-                parity = sym.index.n % 2 if model.field == "q" else None
-                if sym.closed_under(d):
-                    # a d-closed generator takes values in the kernel of d
-                    assignment[sym.name] = random_kernel_element(model, d, rng, parity)
-                else:
-                    assignment[sym.name] = random_element(model, rng, parity)
-            symbolic = apply_differential(
-                d, term, session.setup.sign, session.setup.laws
-            )
-            left = evaluate(symbolic, model, assignment)
-            right = derive_element(model, d, evaluate(term, model, assignment))
-            if left != right:
+            # only the generators the term names
+            assignment = {
+                name: random_kernel_element(model, d, rng, parity) if closed
+                else random_element(model, rng, parity)
+                for name, parity, closed in plan
+                if name in named
+            }
+            symbolic = apply_differential(d, term, sign, laws)
+            if not derivation_holds(term, symbolic, d, model, assignment):
                 status = "fail"
                 notes.append(f"trial {trial}: mismatch for {render_term(term)}")
     report = VerificationReport("model", status, Term.zero(), [], notes=notes)

@@ -13,11 +13,12 @@ it is not, so over the two-element field every stored value is the
 int 1.  Each derivation is computed once per model as the image of
 every basis mask, and each kernel basis once per (kind, parity).
 
-Inside `evaluate`, the two-element field holds an element as a bit set,
-an int whose bit m is set when mask m has coefficient 1: products and
-derivations become shifts, masks and XORs over tables the model builds
-once.  Inputs and outputs stay dicts; anything but plain int values and
-coefficients takes the dict walk, which names every error.
+Inside `evaluate` and `derivation_holds`, the two-element field holds
+an element as a bit set, an int whose bit m is set when mask m has
+coefficient 1: products and derivations become shifts, masks and XORs
+over tables the model builds once.  Inputs and outputs stay dicts;
+anything but plain int values and coefficients takes the dict walk,
+which names every error.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import AssignmentError, ModelError
-from .terms import Coefficient, DiffKind, Monomial, Term, _frozen, _integral, _set
+from .terms import Coefficient, DiffKind, Monomial, Term, _exact, _frozen, _set
 
 Element = dict[int, Coefficient]
 
@@ -54,9 +55,10 @@ _MASKS = frozenset(range(1 << MAX_GENERATORS))
 
 
 def _coeff(field_name: str, value: Coefficient) -> Coefficient:
-    """The exact value in the field: an int when integral, else a Fraction."""
+    """The exact value in the field: an int when integral, else a Fraction.
+    Anything but an int or a Fraction raises TypeError, as in a term."""
     if type(value) is not int:
-        value = _integral(value)
+        value = _exact(value, "model")
         if type(value) is not int:
             if field_name != "gf2":
                 return value
@@ -123,13 +125,26 @@ def _basis_image(field_name: str, table: dict[int, Element], mask: int) -> Eleme
     return _reduced(field_name, acc)
 
 
+def _byte_tables(images: list[int]) -> list[list[int]]:
+    # entry b of table j: the XOR of images[8j + i] over the bits i set in b
+    tables = []
+    for base in range(0, len(images), 8):
+        table = [0]
+        for image in images[base:base + 8]:
+            table += [x ^ image for x in table]
+        tables.append(table)
+    return tables
+
+
 class Model:
     """k generators over a field ("q" or "gf2"), one table per differential,
     and from the tables: each derivation's image of every basis mask, the
     basis masks per parity (None: all) and as a set, and the kernels
     solved per (kind, parity).  Over the two-element field also each
-    image as a bit set (`bit_images`) and, per mask, the bit set of the
-    masks disjoint from it (`disjoint`); both are None over the rationals."""
+    derivation on bit sets (`bit_images`: per run of 8 masks, a table
+    from the byte those masks make to the XOR of their images as bit
+    sets) and, per mask, the bit set of the masks disjoint from it
+    (`disjoint`); both are None over the rationals."""
 
     __slots__ = (
         "k", "field", "tables", "images", "masks", "basis_set", "kernels", "bit_images", "disjoint",
@@ -148,7 +163,7 @@ class Model:
         _set(self, "images", images)
         gf2 = field == "gf2"
         _set(self, "bit_images", {
-            kind: [sum(1 << m for m in image[mask]) for mask in basis]
+            kind: _byte_tables([sum(1 << m for m in image[mask]) for mask in basis])
             for kind, image in images.items()
         } if gf2 else None)
         _set(self, "disjoint", [
@@ -201,11 +216,12 @@ def build_model(
         raise ModelError("a model needs at least one differential table")
     for kind, table in tables.items():
         for bit, image in table.items():
-            if bit.bit_count() != 1 or bit >= (1 << k):
+            if not 0 < bit < 1 << k or bit.bit_count() != 1:
                 raise ModelError(f"table key {bit} is not a generator bitmask")
-            for mask in image:
-                if mask >= (1 << k):
+            for mask, c in image.items():
+                if not 0 <= mask < 1 << k:
                     raise ModelError(f"image mask {mask} outside the algebra")
+                _exact(c, "model")
                 if field_name == "q" and mask.bit_count() % 2:
                     raise ModelError(
                         f"{kind.token}(generator {bit.bit_length()}) has an"
@@ -252,19 +268,68 @@ def evaluate(term: Term, model: Model, assignment: dict[str, Element]) -> Elemen
         return _evaluate(term.items(), model, assignment)
 
 
+def derivation_holds(
+    term: Term, symbolic: Term, kind: DiffKind, model: Model, assignment: dict[str, Element]
+) -> bool:
+    """evaluate(symbolic) == derive_element(kind, evaluate(term)), with
+    the factor values and prefix products of both sides computed once.
+    Over the two-element field both sides stay bit sets up to the
+    comparison.  Whatever the shared walk cannot decide (a value or
+    coefficient the bit path refuses, a missing generator or table, a
+    mask outside the algebra) is decided by the two public calls, so
+    every error and message is theirs."""
+    values: dict = {}
+    root: dict = {}
+    if model.disjoint is not None:
+        images = model.bit_images.get(kind)
+        if images is not None:
+            left = _evaluate_bits(symbolic.summands(), model, assignment, values, root)
+            right = None if left is None else _evaluate_bits(
+                term.summands(), model, assignment, values, root
+            )
+            if right is not None:
+                return left == _derive_bits(images, right)
+    else:
+        try:
+            left = _evaluate(symbolic.summands(), model, assignment, values, root)
+            right = _evaluate(term.summands(), model, assignment, values, root)
+        except (AssignmentError, ModelError):
+            pass
+        else:
+            return left == derive_element(model, kind, right)
+    return evaluate(symbolic, model, assignment) == derive_element(
+        model, kind, evaluate(term, model, assignment)
+    )
+
+
+def _derive_bits(tables: list[list[int]], v: int) -> int:
+    # a derivation on a bit set: the XOR of the images of its masks, a
+    # byte of masks at a time
+    dv = 0
+    for table in tables:
+        dv ^= table[v & 255]
+        v >>= 8
+    return dv
+
+
 def _evaluate_bits(
-    summands: Iterable[tuple[Monomial, Coefficient]], model: Model, assignment: dict[str, Element]
+    summands: Iterable[tuple[Monomial, Coefficient]],
+    model: Model,
+    assignment: dict[str, Element],
+    values: dict | None = None,
+    root: dict | None = None,
 ) -> int | None:
     # _evaluate on bit sets over the two-element field: for disjoint masks
     # ma|mb is ma+mb and signs vanish, so a product is the XOR over the
     # bits ma of a of (b & disjoint[ma]) << ma.  None for what only the
     # dict walk decides: a value or coefficient that is not a plain int, a
-    # mask outside the algebra, a missing generator or table.
+    # mask outside the algebra, a missing generator or table.  Walks that
+    # pass the same values and root share factor values and prefix products.
     basis = model.basis_set
     bit_images = model.bit_images
     disjoint = model.disjoint
-    values: dict[tuple, int] = {}
-    root: dict = {}
+    if values is None:
+        values, root = {}, {}
     acc = 0
     for mono, coeff in summands:
         if type(coeff) is not int:
@@ -276,25 +341,25 @@ def _evaluate_bits(
             if step is None:
                 v = values.get(key)
                 if v is None:
-                    element = assignment.get(key[0])
-                    if element is None:
-                        return None
-                    v = 0
-                    for m, c in element.items():
-                        if type(c) is not int or m not in basis:
+                    # the assigned value, read once per generator under its name
+                    name = key[0]
+                    v = values.get(name)
+                    if v is None:
+                        element = assignment.get(name)
+                        if element is None:
                             return None
-                        if c & 1:
-                            v |= 1 << m
+                        v = 0
+                        for m, c in element.items():
+                            if type(c) is not int or m not in basis:
+                                return None
+                            if c & 1:
+                                v |= 1 << m
+                        values[name] = v
                     for kind in factor.diffs:
                         images = bit_images.get(kind)
                         if images is None:
                             return None
-                        dv = 0
-                        while v:
-                            low = v & -v
-                            dv ^= images[low.bit_length() - 1]
-                            v ^= low
-                        v = dv
+                        v = _derive_bits(images, v)
                     values[key] = v
                 if product:
                     a, product = product, 0
@@ -311,15 +376,20 @@ def _evaluate_bits(
 
 
 def _evaluate(
-    summands: Iterable[tuple[Monomial, Coefficient]], model: Model, assignment: dict[str, Element]
+    summands: Iterable[tuple[Monomial, Coefficient]],
+    model: Model,
+    assignment: dict[str, Element],
+    values: dict | None = None,
+    root: dict | None = None,
 ) -> Element:
     field_name = model.field
     basis = model.basis_set
-    values: dict[tuple, Element] = {}
-    # a trie of factor prefixes: each node maps the next factor's sort
-    # key, its generator name and stack, to the node it leads to and the
-    # product of the prefix ending there
-    root: dict = {}
+    # values: each factor's value by its sort key, its generator name and
+    # stack; root: a trie of factor prefixes, each node mapping the next
+    # factor's key to the node it leads to and the product of the prefix
+    # ending there.  Walks that pass the same two share them.
+    if values is None:
+        values, root = {}, {}
     one: Element = {0: 1}
     acc: dict[int, Coefficient] = {}
     for mono, coeff in summands:

@@ -325,10 +325,10 @@ def _integral(q: Coefficient) -> Coefficient:
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
-def _exact(coeff) -> Coefficient:
+def _exact(coeff, what: str = "term") -> Coefficient:
     """The coefficient as a plain int or a non-integral Fraction; anything
     but an int or a Fraction (a float above all) is refused rather than
-    silently rounded."""
+    silently rounded, naming what it is a coefficient of."""
     if type(coeff) is int:
         return coeff
     if isinstance(coeff, int):
@@ -336,7 +336,7 @@ def _exact(coeff) -> Coefficient:
     if isinstance(coeff, Fraction):
         return _integral(coeff)
     raise TypeError(
-        f"term coefficients must be int or Fraction, not {type(coeff).__name__}"
+        f"{what} coefficients must be int or Fraction, not {type(coeff).__name__}"
     )
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import random
 import subprocess
 import sys
 import jsonschema
@@ -17,7 +18,20 @@ from hypothesis import given, settings, strategies as st
 
 import cli_corpus
 import gda.cli
-from gda import GdaSyntaxError, build_session, parse_text, print_session
+from gda import (
+    Factor,
+    GdaSyntaxError,
+    Monomial,
+    Term,
+    apply_differential,
+    build_session,
+    corner_model,
+    parse_text,
+    print_session,
+    raising_model,
+    random_element,
+    random_kernel_element,
+)
 from gda.cli import _build_parser, main
 from gda.dsl import SETTINGS
 
@@ -326,20 +340,16 @@ def test_model_check_draws_only_the_generators_a_trial_names(name, flags, monkey
             return draw(*args)
         return wrapped
 
-    def evaluate(term, model, assignment):
-        # called twice a trial on one assignment: the symbolic side, then
-        # the trial's term; the draws come before the first call
-        if pending:
-            trials.append((list(pending), assignment))
-            pending.clear()
-        else:
-            trials[-1] += (term,)
-        return real_evaluate(term, model, assignment)
+    def holds(term, symbolic, kind, model, assignment):
+        # called once a trial, after its draws
+        trials.append((list(pending), assignment, term))
+        pending.clear()
+        return real_holds(term, symbolic, kind, model, assignment)
 
-    real_evaluate = gda.cli.evaluate
+    real_holds = gda.cli.derivation_holds
     monkeypatch.setattr(gda.cli, "random_element", spy("free", gda.cli.random_element))
     monkeypatch.setattr(gda.cli, "random_kernel_element", spy("kernel", gda.cli.random_kernel_element))
-    monkeypatch.setattr(gda.cli, "evaluate", evaluate)
+    monkeypatch.setattr(gda.cli, "derivation_holds", holds)
     path = SESSIONS / name
     assert main(["model-check", str(path), "--trials", "60", "--seed", "4", *flags]) == 0
     assert "status: ok" in capsys.readouterr().out
@@ -357,6 +367,62 @@ def test_model_check_draws_only_the_generators_a_trial_names(name, flags, monkey
     if name == "minimal.gda":
         # b is dclosed: every draw of b is from the kernel of d
         assert kinds == {("a", "free"), ("b", "kernel")}
+
+
+def _drawn_trials(session, model, seed, trials):
+    # each trial's term and assignment as model-check drew them with
+    # randint and choice, one generator at a time in registry order
+    rng = random.Random(seed)
+    d = session.setup.d
+    gens = [session.registry.get(name) for name in session.registry.names()]
+    stacks = [()] + [(kind,) for kind in model.tables]
+    out = []
+    for _ in range(trials):
+        arity = rng.randint(1, 3)
+        factors = tuple(Factor(rng.choice(gens), rng.choice(stacks)) for _ in range(arity))
+        named = {f.generator.name for f in factors}
+        assignment = {}
+        for sym in gens:
+            if sym.name in named:
+                parity = sym.index.n % 2 if model.field == "q" else None
+                if sym.closed_under(d):
+                    assignment[sym.name] = random_kernel_element(model, d, rng, parity)
+                else:
+                    assignment[sym.name] = random_element(model, rng, parity)
+        out.append((Term.from_monomial(Monomial(factors)), list(assignment.items())))
+    return out
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("invariant_class.gda", ["--sign-mode", "paper"]),
+    ("invariant_class.gda", ["--sign-mode", "koszul"]),
+    ("conditions.gda", ["--sign-mode", "paper"]),
+    ("minimal.gda", ["--sign-mode", "paper", "--d", "Delta"]),
+    ("minimal.gda", ["--sign-mode", "koszul"]),
+])
+def test_model_check_draws_the_stream_randint_and_choice_draw(name, flags, monkeypatch, capsys):
+    # the same terms and values, trial by trial, for every seed, and each
+    # trial checks the differential of its own term
+    seen = []
+
+    def holds(term, symbolic, kind, model, assignment):
+        seen.append((term, list(assignment.items())))
+        assert kind is d
+        assert symbolic == apply_differential(d, term, session.setup.sign, session.setup.laws)
+        return real_holds(term, symbolic, kind, model, assignment)
+
+    real_holds = gda.cli.derivation_holds
+    monkeypatch.setattr(gda.cli, "derivation_holds", holds)
+    path = SESSIONS / name
+    settings_ = {flags[i][2:]: flags[i + 1] for i in range(0, len(flags), 2)}
+    session = build_session(parse_text(path.read_text()), str(path), settings_)
+    d = session.setup.d
+    model = corner_model() if settings_["sign-mode"] == "paper" else raising_model()
+    for seed in (0, 3, 12345):
+        seen.clear()
+        assert main(["model-check", str(path), "--trials", "40", "--seed", str(seed), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "status: ok"
+        assert seen == _drawn_trials(session, model, seed, 40)
 
 
 @pytest.mark.parametrize("name, where, error", [

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gda.model
+
 from gda import (
     AssignmentError,
     DiffKind,
@@ -15,11 +17,13 @@ from gda import (
     Index,
     ModelError,
     Monomial,
+    SignMode,
     SymbolRegistry,
     Term,
     apply_differential,
     build_model,
     corner_model,
+    derivation_holds,
     derive_element,
     evaluate,
     kernel_basis,
@@ -183,6 +187,34 @@ def test_build_model_checks_commutation():
     }
     with pytest.raises(ModelError):
         build_model(2, "q", tables)
+
+
+def test_build_model_rejects_a_negative_table_key():
+    # (-1).bit_count() is 1, so the bitmask test alone let -1 through to
+    # a bare KeyError
+    for field_name in ("q", "gf2"):
+        with pytest.raises(ModelError, match="^table key -1 is not a generator bitmask$"):
+            build_model(2, field_name, {D: {-1: {3: 1}}})
+
+
+def test_build_model_rejects_a_negative_image_mask():
+    # over the rationals -1 was reported as an odd-degree component
+    for field_name in ("q", "gf2"):
+        with pytest.raises(ModelError, match="^image mask -1 outside the algebra$"):
+            build_model(2, field_name, {D: {1: {-1: 1}}})
+
+
+@pytest.mark.parametrize("field_name", ["q", "gf2"])
+def test_model_coefficients_are_int_or_fraction(field_name):
+    # a float built a rational model whose images held it, and over the
+    # two-element field ended in an AttributeError
+    message = "^model coefficients must be int or Fraction, not float$"
+    with pytest.raises(TypeError, match=message):
+        build_model(2, field_name, {D: {1: {3: 1.5}}})
+    with pytest.raises(TypeError, match=message):
+        _coeff(field_name, 1.5)
+    # an int subclass or an integral Fraction is an int
+    assert [type(_coeff(field_name, c)) for c in (True, Fraction(4, 2))] == [int, int]
 
 
 def test_evaluate_monomial_wedges_factors():
@@ -522,3 +554,105 @@ def test_copied_and_pickled_models_evaluate_the_same(make_model):
         expected = evaluate(term, m, assignment)
         for twin in copies:
             assert evaluate(term, twin, assignment) == expected
+
+
+def _expected_holds(term, symbolic, kind, model, assignment):
+    # the expression derivation_holds stands for, with its errors
+    try:
+        return evaluate(symbolic, model, assignment) == derive_element(
+            model, kind, evaluate(term, model, assignment)
+        )
+    except (AssignmentError, ModelError) as exc:
+        return type(exc), str(exc)
+
+
+def _holds_outcome(term, symbolic, kind, model, assignment):
+    try:
+        return derivation_holds(term, symbolic, kind, model, assignment)
+    except (AssignmentError, ModelError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _derivation_cases(draw):
+    model = _EVAL_MODELS[draw(st.sampled_from(sorted(_EVAL_MODELS)))]
+    gf2 = model.field == "gf2"
+    # most cases hold plain ints only, which the shared walk decides; the
+    # rest carry one input it refuses: a Fraction coefficient, one with an
+    # even denominator, a Fraction value, a mask outside the algebra, a
+    # generator with no value, a differential with no table (over the
+    # rationals, as the checked kind or in a stack)
+    fault = draw(st.sampled_from(
+        [None] * 4 + ["fraction", "denominator", "value", "mask", "generator", "table"]
+    ))
+    stacks = [(), (D,)] + ([(DD,), (D, DD)] if gf2 or fault == "table" else [])
+    factors = st.builds(Factor, st.sampled_from(_EVAL_GENS), st.sampled_from(stacks))
+    stems = draw(st.lists(st.lists(factors, max_size=2), min_size=1, max_size=3))
+    summands = {}
+    for _ in range(draw(st.integers(1, 4))):
+        stem = draw(st.sampled_from(stems))
+        summands[Monomial(tuple(stem + draw(st.lists(factors, max_size=1))))] = draw(st.integers(-3, 3))
+    if fault in ("fraction", "denominator"):
+        mono = draw(st.sampled_from(list(summands)))
+        summands[mono] = Fraction(draw(st.sampled_from([1, -1, 5])), 2 if fault == "denominator" else 3)
+    term = Term(summands)
+    kind = DD if fault == "table" and not gf2 and draw(st.booleans()) else draw(st.sampled_from(sorted(model.tables)))
+    symbolic = apply_differential(kind, term, draw(st.sampled_from(list(SignMode))))
+    if draw(st.booleans()):
+        # a symbolic side off the term's differential, which mostly fails
+        extra = Monomial(tuple(draw(st.lists(factors, min_size=1, max_size=2))))
+        symbolic = symbolic + Term({extra: draw(st.sampled_from([1, -1, 3]))})
+    # elements sparse (possibly empty) or dense
+    elements = st.one_of(
+        st.dictionaries(st.integers(0, 15), st.integers(-3, 3), max_size=8),
+        st.integers(1, 0xFFFF).map(lambda bits: {m: 1 for m in range(16) if bits >> m & 1}),
+    )
+    assignment = {g.name: draw(elements) for g in _EVAL_GENS}
+    # the fault sits on a generator the term names
+    named = {f.generator.name for mono, _ in term.summands() for f in mono.factors}
+    name = draw(st.sampled_from(sorted(named or assignment)))
+    if fault == "value":
+        assignment[name][draw(st.integers(0, 15))] = Fraction(1, 3)
+    elif fault == "mask":
+        assignment[name][draw(st.sampled_from([-1, 16, 64]))] = 1
+    elif fault == "generator":
+        del assignment[name]
+    return term, symbolic, kind, model, assignment
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_derivation_cases())
+def test_derivation_holds_matches_the_expression_it_stands_for(case):
+    assert _holds_outcome(*case) == _expected_holds(*case)
+
+
+@pytest.mark.parametrize("make_model", [corner_model, raising_model])
+def test_derivation_holds_decides_plain_ints_on_the_shared_walk(make_model, monkeypatch):
+    # no public evaluate, and over the two-element field no dict
+    # derivation either; both outcomes occur
+    m = make_model()
+    a, b = _EVAL_GENS[:2]
+    sign, parity = (SignMode.paper_literal, None) if m.field == "gf2" else (SignMode.koszul, 1)
+    stacks = [()] + [(kind,) for kind in m.tables]
+    rng = random.Random(41)
+    cases = []
+    for _ in range(60):
+        term = Term.from_monomial(
+            Monomial((Factor(a, rng.choice(stacks)), Factor(b, rng.choice(stacks)))), rng.randint(1, 3)
+        )
+        symbolic = apply_differential(D, term, sign)
+        if rng.random() < 0.5:
+            symbolic = symbolic + Term.from_factor(Factor(a, (D,)))
+        assignment = {"a": random_element(m, rng, parity), "b": random_element(m, rng, parity)}
+        case = (term, symbolic, D, m, assignment)
+        cases.append((case, _expected_holds(*case)))
+    assert {expected for _, expected in cases} == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("the public walk ran")
+
+    monkeypatch.setattr(gda.model, "evaluate", refuse)
+    if m.field == "gf2":
+        monkeypatch.setattr(gda.model, "derive_element", refuse)
+    for case, expected in cases:
+        assert derivation_holds(*case) is expected
