@@ -5,9 +5,9 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shlex
-import random
 import subprocess
 import sys
 import jsonschema

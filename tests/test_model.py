@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gda.model
-
 from gda import (
     AssignmentError,
     DiffKind,
